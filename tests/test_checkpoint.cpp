@@ -4,6 +4,10 @@
 // in all three modes, including under fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <span>
+
 #include "src/cpu/cycle_cpu.h"
 #include "src/masm/assembler.h"
 #include "src/sim/functional_sim.h"
@@ -289,6 +293,129 @@ TEST(Ckpt, RestoredTrapStateSurvives) {
   EXPECT_EQ(second.cpu().state().read(5), golden.cpu().state().read(5));
   EXPECT_EQ(second.cpu().state().read(9), 77u);
   EXPECT_EQ(ckpt::arch_digest(second), ckpt::arch_digest(golden));
+}
+
+
+// ------------------------------------------------------------ format pin
+//
+// The byte format is versioned (kVersion): a checkpoint written by one
+// build must restore in another of the same version. These constants pin
+// the exact bytes of three representative checkpoints, so any change to
+// serialization order, widths or filtering shows up here instead of as a
+// silent format drift.
+
+u64 fnv1a64(std::span<const u8> bytes) {
+  u64 h = 1469598103934665603ull;
+  for (u8 b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+u64 le_u64_at(std::span<const u8> bytes, std::size_t off) {
+  u64 v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | bytes[off + i];
+  return v;
+}
+
+/// Offset just past the first occurrence of a four-character section tag.
+std::size_t after_tag(std::span<const u8> bytes, const char (&tag)[5]) {
+  const auto it = std::search(bytes.begin(), bytes.end(), tag, tag + 4);
+  EXPECT_NE(it, bytes.end()) << "no '" << tag << "' section";
+  return static_cast<std::size_t>(it - bytes.begin()) + 4;
+}
+
+/// Live entry counts of the first LSU section: loads, stores, MSHRs.
+/// Layout: fills u64, n_loads u64, loads (u64 each), n_stores u64, stores
+/// (u64 addr, u32 bytes, u64 done), n_mshrs u64.
+std::array<u64, 3> lsu_counts(std::span<const u8> bytes) {
+  std::size_t off = after_tag(bytes, "LSU ") + 8;
+  const u64 loads = le_u64_at(bytes, off);
+  off += 8 + 8 * loads;
+  const u64 stores = le_u64_at(bytes, off);
+  off += 8 + 20 * stores;
+  return {loads, stores, le_u64_at(bytes, off)};
+}
+
+/// Every fault class on: ECC corrections and
+/// poisoned (healed) lines, fill-parity retries, crossbar delays and drops.
+TimingConfig soak_faults() {
+  TimingConfig cfg;
+  cfg.faults.dram_correctable_rate = 0.2;
+  cfg.faults.dram_uncorrectable_rate = 0.05;
+  cfg.faults.mc_policy = MachineCheckPolicy::kPoison;
+  cfg.faults.fill_parity_rate = 0.05;
+  cfg.faults.xbar_delay_rate = 0.1;
+  cfg.faults.xbar_drop_rate = 0.02;
+  return cfg;
+}
+
+// Independent loads to fresh lines, with a store per line: misses keep
+// the load and store buffers and the MSHRs busy, and each new line is a
+// DRAM read the ECC fault plan may poison.
+constexpr const char* kMissProg = R"(
+    .data
+  buf: .space 8192
+    .code
+    sethi g3, %hi(buf)
+    orlo g3, %lo(buf)
+    setlo g5, 64
+  walk:
+    ldwi g7, g3, 0
+    ldwi g8, g3, 32
+    ldwi g9, g3, 64
+    ldwi g10, g3, 96
+    stwi g5, g3, 4
+    addi g3, g3, 128
+    addi g5, g5, -1
+    bnz g5, walk
+    halt
+)";
+
+TEST(CkptFormat, CycleRunWithFaultsIsPinned) {
+  cpu::CycleSim sim(assemble_or_throw(kMissProg), soak_faults());
+  sim.run(100);  // mid-walk: misses in flight
+  const auto bytes = ckpt::save_checkpoint(sim);
+  // The pin is only as strong as the state it covers: the variable-length
+  // sections must be non-empty at the save point.
+  const auto [loads, stores, mshrs] = lsu_counts(bytes);
+  EXPECT_GT(loads, 0u);
+  EXPECT_GT(stores, 0u);
+  EXPECT_GT(mshrs, 0u);
+  EXPECT_GT(le_u64_at(bytes, after_tag(bytes, "ECC ")), 0u);  // healed set
+  EXPECT_EQ(bytes.size(), 38419u);
+  EXPECT_EQ(fnv1a64(bytes), 0xedd92db2b7f1de23ull);
+
+  // Restoring and saving again reproduces the same bytes.
+  cpu::CycleSim back(assemble_or_throw(kMissProg), soak_faults());
+  ckpt::restore_checkpoint(back, bytes);
+  EXPECT_EQ(ckpt::save_checkpoint(back), bytes);
+}
+
+TEST(CkptFormat, FunctionalRunIsPinned) {
+  sim::FunctionalSim sim(assemble_or_throw(kLoopProg));
+  sim.run(300);
+  const auto bytes = ckpt::save_checkpoint(sim);
+  EXPECT_EQ(bytes.size(), 9275u);
+  EXPECT_EQ(fnv1a64(bytes), 0xf136725bdb577ffdull);
+
+  sim::FunctionalSim back(assemble_or_throw(kLoopProg));
+  ckpt::restore_checkpoint(back, bytes);
+  EXPECT_EQ(ckpt::save_checkpoint(back), bytes);
+}
+
+TEST(CkptFormat, ChipRunIsPinned) {
+  // Both CPUs run the same loop: two LSUs, two I$ and two register files.
+  soc::Majc5200 chip(assemble_or_throw(kLoopProg));
+  chip.run(300);
+  const auto bytes = ckpt::save_checkpoint(chip);
+  EXPECT_EQ(bytes.size(), 45845u);
+  EXPECT_EQ(fnv1a64(bytes), 0x62f26f048c8f30eeull);
+
+  soc::Majc5200 back(assemble_or_throw(kLoopProg));
+  ckpt::restore_checkpoint(back, bytes);
+  EXPECT_EQ(ckpt::save_checkpoint(back), bytes);
 }
 
 } // namespace
