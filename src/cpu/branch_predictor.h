@@ -13,8 +13,7 @@
 #include "src/support/types.h"
 
 namespace majc::ckpt {
-class Writer;
-class Reader;
+class Archive;
 } // namespace majc::ckpt
 
 namespace majc::cpu {
@@ -38,8 +37,7 @@ public:
   }
   void reset_stats() { lookups_ = correct_ = 0; }
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  void fields(ckpt::Archive& a);
 
 private:
   u32 index(Addr pc) const;

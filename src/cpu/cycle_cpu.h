@@ -32,11 +32,6 @@
 #include "src/sim/functional_sim.h"
 #include "src/support/stats.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc::cpu {
 
 /// One issued packet (or context switch) as seen by a trace observer.
@@ -166,8 +161,7 @@ public:
   /// none was delivered).
   const Trap& last_delivered_trap() const { return last_trap_; }
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  void fields(ckpt::Archive& a);
 
   /// Install a per-packet trace observer (empty function disables).
   void set_trace(std::function<void(const TraceEvent&)> fn) {
@@ -286,8 +280,7 @@ public:
   const sim::Program& program() const { return *prog_; }
   const std::string& console() const { return cpu_->console(); }
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  void fields(ckpt::Archive& a);
 
 private:
   /// (Re)build everything downstream of the arena: memory contents, memory

@@ -20,8 +20,7 @@
 #include "src/support/types.h"
 
 namespace majc::ckpt {
-class Writer;
-class Reader;
+class Archive;
 } // namespace majc::ckpt
 
 namespace majc::cpu {
@@ -116,8 +115,7 @@ public:
 
   void clear() { entries_.fill({}); }
 
-  void save(ckpt::Writer& w) const;   // defined in support/checkpoint.cpp
-  void restore(ckpt::Reader& r);
+  void fields(ckpt::Archive& a);
 
 private:
   std::array<Entry, isa::kNumRegs> entries_{};

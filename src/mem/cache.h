@@ -23,8 +23,7 @@
 #include "src/support/types.h"
 
 namespace majc::ckpt {
-class Writer;
-class Reader;
+class Archive;
 } // namespace majc::ckpt
 
 namespace majc::mem {
@@ -105,8 +104,7 @@ public:
   const Config& config() const { return cfg_; }
   void reset_stats();
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  void fields(ckpt::Archive& a);
 
 private:
   struct Line {

@@ -15,8 +15,7 @@
 #include "src/support/types.h"
 
 namespace majc::ckpt {
-class Writer;
-class Reader;
+class Archive;
 } // namespace majc::ckpt
 
 namespace majc::mem {
@@ -62,8 +61,7 @@ public:
   u64 dropped_grants() const { return dropped_grants_; }
   void reset_stats();
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  void fields(ckpt::Archive& a);
 
 private:
   u32 hop_;

@@ -13,8 +13,7 @@
 #include "src/support/types.h"
 
 namespace majc::ckpt {
-class Writer;
-class Reader;
+class Archive;
 } // namespace majc::ckpt
 
 namespace majc::mem {
@@ -33,8 +32,7 @@ public:
   u64 busy_cycles() const { return busy_cycles_; }
   void reset_stats();
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  void fields(ckpt::Archive& a);
 
 private:
   u32 bank_of(Addr addr) const {

@@ -29,8 +29,7 @@
 #include "src/support/fault.h"
 
 namespace majc::ckpt {
-class Writer;
-class Reader;
+class Archive;
 } // namespace majc::ckpt
 
 namespace majc::mem {
@@ -58,8 +57,7 @@ public:
   u64 poisoned_lines() const { return poisoned_; }
   u64 silent_corruptions() const { return silent_corruptions_; }
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  void fields(ckpt::Archive& a);
 
 private:
   sim::MemoryBus& inner_;

@@ -19,8 +19,7 @@
 #include "src/support/trap.h"
 
 namespace majc::ckpt {
-class Writer;
-class Reader;
+class Archive;
 } // namespace majc::ckpt
 
 namespace majc::sim {
@@ -160,8 +159,7 @@ public:
   /// functional and timed runs produce identical console text.
   static void format_trap(std::string& out, u32 code, u32 value);
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  void fields(ckpt::Archive& a);
 
 private:
   RunResult run_interp(u64 max_packets);

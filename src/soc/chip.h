@@ -59,8 +59,7 @@ public:
   IoPort& supa() { return supa_; }
   IoPort& pci() { return pci_; }
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  void fields(ckpt::Archive& a);
 
 private:
   /// Multi-line state dump of both CPUs (pc, cycle, progress, packet counts)

@@ -1,7 +1,7 @@
-// Checkpoint serialization: primitives, the header, and the save/restore
-// definitions of every component (declared as members in the components'
-// own headers so they can reach private state; gathered here so the full
-// format lives in one translation unit, in serialization order).
+// Checkpoint serialization: primitives, the header, and the fields() list
+// of every component (declared as members in the components' own headers
+// so they can reach private state; gathered here so the full format lives
+// in one translation unit, in serialization order).
 #include "src/support/checkpoint.h"
 
 #include <algorithm>
@@ -20,19 +20,8 @@ namespace majc::ckpt {
 
 // ---------------------------------------------------------------- primitives
 
-void Writer::put_u16(u16 v) {
-  put_u8(static_cast<u8>(v));
-  put_u8(static_cast<u8>(v >> 8));
-}
-
-void Writer::put_u32(u32 v) {
-  put_u16(static_cast<u16>(v));
-  put_u16(static_cast<u16>(v >> 16));
-}
-
-void Writer::put_u64(u64 v) {
-  put_u32(static_cast<u32>(v));
-  put_u32(static_cast<u32>(v >> 32));
+void Writer::put_le(u64 v, int bytes) {
+  for (int i = 0; i < bytes; ++i) put_u8(static_cast<u8>(v >> (8 * i)));
 }
 
 void Writer::put_f64(double v) { put_u64(std::bit_cast<u64>(v)); }
@@ -59,19 +48,11 @@ u8 Reader::get_u8() {
   return data_[pos_++];
 }
 
-u16 Reader::get_u16() {
-  const u16 lo = get_u8();
-  return static_cast<u16>(lo | (u16{get_u8()} << 8));
-}
-
-u32 Reader::get_u32() {
-  const u32 lo = get_u16();
-  return lo | (u32{get_u16()} << 16);
-}
-
-u64 Reader::get_u64() {
-  const u64 lo = get_u32();
-  return lo | (u64{get_u32()} << 32);
+u64 Reader::get_le(int bytes) {
+  need(static_cast<std::size_t>(bytes));
+  u64 v = 0;
+  for (int i = 0; i < bytes; ++i) v |= u64{data_[pos_++]} << (8 * i);
+  return v;
 }
 
 double Reader::get_f64() { return std::bit_cast<double>(get_u64()); }
@@ -83,9 +64,27 @@ void Reader::get_bytes(std::span<u8> out) {
   pos_ += out.size();
 }
 
-std::string Reader::get_string() {
+bool Reader::get_bool() {
+  const u8 b = get_u8();
+  if (b > 1) throw Error("checkpoint: bool byte is neither 0 nor 1");
+  return b != 0;
+}
+
+u8 Reader::get_enum(u8 count, const char* what) {
+  const u8 v = get_u8();
+  if (v >= count) throw Error(std::string("checkpoint: bad ") + what);
+  return v;
+}
+
+u64 Reader::get_count(std::size_t min_elem_bytes) {
   const u64 n = get_u64();
-  need(n);
+  if (n > remaining() / min_elem_bytes)
+    throw Error("checkpoint: element count overruns the file");
+  return n;
+}
+
+std::string Reader::get_string() {
+  const u64 n = get_count(1);
   std::string s(reinterpret_cast<const char*>(data_.data()) + pos_,
                 static_cast<std::size_t>(n));
   pos_ += static_cast<std::size_t>(n);
@@ -98,6 +97,18 @@ void Reader::expect_tag(const char (&tag)[5]) {
   if (std::string_view(got, 4) != std::string_view(tag, 4))
     throw Error(std::string("checkpoint: section tag mismatch (expected '") +
                 tag + "', found '" + got + "')");
+}
+
+void Archive::size(majc::u64 n, std::string_view what) {
+  if (!r_) return w_->put_u64(n);
+  if (r_->get_u64() != n)
+    throw Error("checkpoint: " + std::string(what) + " mismatch");
+}
+
+void Archive::size32(majc::u32 n, std::string_view what) {
+  if (!r_) return w_->put_u32(n);
+  if (r_->get_u32() != n)
+    throw Error("checkpoint: " + std::string(what) + " mismatch");
 }
 
 // -------------------------------------------------------------- fingerprints
@@ -209,7 +220,8 @@ Mode read_header_common(Reader& r) {
     throw Error("checkpoint: version " + std::to_string(version) +
                 " not readable by this build (expected " +
                 std::to_string(kVersion) + ")");
-  return static_cast<Mode>(r.get_u8());
+  return static_cast<Mode>(
+      r.get_enum(static_cast<u8>(Mode::kChip) + 1, "mode"));
 }
 
 void check_header(Reader& r, Mode mode, u64 cfg_fp, u64 img_hash) {
@@ -223,6 +235,29 @@ void check_header(Reader& r, Mode mode, u64 cfg_fp, u64 img_hash) {
   if (r.get_u64() != img_hash)
     throw Error("checkpoint: program image mismatch — a checkpoint resumes "
                 "only with the image that produced it");
+}
+
+// A checkpoint is the header, then the simulator's fields() walk. The
+// public save_checkpoint takes the simulator const: a saving walk changes
+// nothing, so the one const_cast here is sound.
+template <class Sim>
+std::vector<u8> save(const Sim& s, Mode mode, u64 cfg_fp) {
+  Writer w;
+  write_header(w, mode, cfg_fp, image_hash(s.program().image()));
+  Archive a(w);
+  const_cast<Sim&>(s).fields(a);
+  return w.take();
+}
+
+template <class Sim>
+void restore(Sim& s, std::span<const u8> bytes, Mode mode, u64 cfg_fp) {
+  Reader r(bytes);
+  check_header(r, mode, cfg_fp, image_hash(s.program().image()));
+  Archive a(r);
+  s.fields(a);
+  if (r.remaining() != 0)
+    throw Error("checkpoint: " + std::to_string(r.remaining()) +
+                " trailing bytes after the body");
 }
 
 } // namespace
@@ -254,134 +289,91 @@ std::vector<u8> read_checkpoint_file(const std::string& path) {
 
 } // namespace majc::ckpt
 
-// ------------------------------------------------- shared struct serializers
+// ------------------------------------------------- shared struct fields
 
 namespace majc {
 namespace {
 
-void save_trap(ckpt::Writer& w, const Trap& t) {
-  w.put_u8(static_cast<u8>(t.code));
-  w.put_u32(t.cpu);
-  w.put_u64(t.pc);
-  w.put_u64(t.cycle);
-  w.put_u8(static_cast<u8>(t.unit));
-  w.put_string(t.detail);
-  w.put_u32(t.value);
-  w.put_bool(t.deliverable);
+constexpr u8 kTrapCauses = static_cast<u8>(TrapCause::kMachineCheck) + 1;
+constexpr u8 kTimeUnits = static_cast<u8>(TimeUnit::kCycles) + 1;
+
+void trap_fields(ckpt::Archive& a, Trap& t) {
+  t.code = static_cast<TrapCause>(
+      a.enum8(static_cast<u8>(t.code), kTrapCauses, "trap cause"));
+  a.u32(t.cpu);
+  a.u64(t.pc);
+  a.u64(t.cycle);
+  t.unit = static_cast<TimeUnit>(
+      a.enum8(static_cast<u8>(t.unit), kTimeUnits, "time unit"));
+  a.string(t.detail);
+  a.u32(t.value);
+  a.boolean(t.deliverable);
 }
 
-void restore_trap(ckpt::Reader& r, Trap& t) {
-  t.code = static_cast<TrapCause>(r.get_u8());
-  t.cpu = r.get_u32();
-  t.pc = r.get_u64();
-  t.cycle = r.get_u64();
-  t.unit = static_cast<TimeUnit>(r.get_u8());
-  t.detail = r.get_string();
-  t.value = r.get_u32();
-  t.deliverable = r.get_bool();
-}
-
-void save_state(ckpt::Writer& w, const sim::CpuState& st) {
-  for (u32 v : st.regs) w.put_u32(v);
-  w.put_u64(st.pc);
-  w.put_bool(st.halted);
-  w.put_u64(st.tvec);
-  w.put_u32(st.tcause);
-  w.put_u64(st.tpc);
-  w.put_u64(st.tnpc);
-  w.put_u32(st.tdetail);
-  w.put_bool(st.in_trap);
-}
-
-void restore_state(ckpt::Reader& r, sim::CpuState& st) {
-  for (u32& v : st.regs) v = r.get_u32();
-  st.pc = r.get_u64();
-  st.halted = r.get_bool();
-  st.tvec = r.get_u64();
-  st.tcause = r.get_u32();
-  st.tpc = r.get_u64();
-  st.tnpc = r.get_u64();
-  st.tdetail = r.get_u32();
-  st.in_trap = r.get_bool();
+void state_fields(ckpt::Archive& a, sim::CpuState& st) {
+  for (u32& v : st.regs) a.u32(v);
+  a.u64(st.pc);
+  a.boolean(st.halted);
+  a.u64(st.tvec);
+  a.u32(st.tcause);
+  a.u64(st.tpc);
+  a.u64(st.tnpc);
+  a.u32(st.tdetail);
+  a.boolean(st.in_trap);
 }
 
 // Flat memory, sparse: all-zero 4 KB pages are elided; a ~0 page index
-// terminates the page list. Restore zero-fills first, so the elided pages
+// terminates the page list. Load zero-fills first, so the elided pages
 // come back exactly as written.
 constexpr std::size_t kPageBytes = 4096;
+constexpr u64 kEndOfPages = ~u64{0};
 
-void save_memory(ckpt::Writer& w, const sim::FlatMemory& m) {
-  w.put_tag("MEM ");
-  const std::span<const u8> raw = m.raw();
-  w.put_u64(raw.size());
-  for (std::size_t p = 0; p * kPageBytes < raw.size(); ++p) {
-    const std::size_t off = p * kPageBytes;
-    const std::span<const u8> page =
-        raw.subspan(off, std::min(kPageBytes, raw.size() - off));
-    if (std::all_of(page.begin(), page.end(), [](u8 b) { return b == 0; }))
-      continue;
-    w.put_u64(p);
-    w.put_u32(static_cast<u32>(page.size()));
-    w.put_bytes(page);
-  }
-  w.put_u64(~u64{0});
-}
-
-void restore_memory(ckpt::Reader& r, sim::FlatMemory& m) {
-  r.expect_tag("MEM ");
+void memory_fields(ckpt::Archive& a, sim::FlatMemory& m) {
+  a.tag("MEM ");
   const std::span<u8> raw = m.raw();
-  if (r.get_u64() != raw.size())
-    throw Error("checkpoint: memory size mismatch");
-  std::fill(raw.begin(), raw.end(), u8{0});
-  for (;;) {
-    const u64 p = r.get_u64();
-    if (p == ~u64{0}) break;
-    const u32 n = r.get_u32();
-    const std::size_t off = static_cast<std::size_t>(p) * kPageBytes;
-    if (off + n > raw.size() || n > kPageBytes)
-      throw Error("checkpoint: memory page out of range");
-    r.get_bytes(raw.subspan(off, n));
+  a.size(raw.size(), "memory size");
+  if (a.loading()) std::fill(raw.begin(), raw.end(), u8{0});
+  const u64 pages = (raw.size() + kPageBytes - 1) / kPageBytes;
+  const auto page = [&](u64 p) {
+    return raw.subspan(p * kPageBytes,
+                       std::min(kPageBytes, raw.size() - p * kPageBytes));
+  };
+  for (u64 p = 0;; ++p) {
+    if (!a.loading()) {  // save: skip to the next non-zero page, or the end
+      while (p < pages && std::all_of(page(p).begin(), page(p).end(),
+                                      [](u8 b) { return b == 0; }))
+        ++p;
+      if (p == pages) p = kEndOfPages;
+    }
+    a.u64(p);
+    if (p == kEndOfPages) break;
+    if (p >= pages) throw Error("checkpoint: memory page out of range");
+    const std::span<u8> bytes = page(p);
+    u32 n = static_cast<u32>(bytes.size());
+    a.u32(n);
+    if (n > bytes.size()) throw Error("checkpoint: memory page out of range");
+    a.bytes(bytes.first(n));
   }
 }
 
-void save_cpu_stats(ckpt::Writer& w, const cpu::CpuStats& s) {
-  w.put_u64(s.packets);
-  w.put_u64(s.instrs);
-  s.width_hist.save(w);
-  w.put_u64(s.cond_branches);
-  w.put_u64(s.taken_branches);
-  w.put_u64(s.mispredicts);
-  w.put_u64(s.jumps);
-  w.put_u64(s.thread_switches);
-  w.put_u64(s.traps_delivered);
-  for (u64 c : s.stalls.counts) w.put_u64(c);
-}
-
-void restore_cpu_stats(ckpt::Reader& r, cpu::CpuStats& s) {
-  s.packets = r.get_u64();
-  s.instrs = r.get_u64();
-  s.width_hist.restore(r);
-  s.cond_branches = r.get_u64();
-  s.taken_branches = r.get_u64();
-  s.mispredicts = r.get_u64();
-  s.jumps = r.get_u64();
-  s.thread_switches = r.get_u64();
-  s.traps_delivered = r.get_u64();
-  for (u64& c : s.stalls.counts) c = r.get_u64();
+void stats_fields(ckpt::Archive& a, cpu::CpuStats& s) {
+  a.u64(s.packets);
+  a.u64(s.instrs);
+  s.width_hist.fields(a);
+  a.u64(s.cond_branches);
+  a.u64(s.taken_branches);
+  a.u64(s.mispredicts);
+  a.u64(s.jumps);
+  a.u64(s.thread_switches);
+  a.u64(s.traps_delivered);
+  for (u64& c : s.stalls.counts) a.u64(c);
 }
 
 } // namespace
 
-// Histogram (majc namespace).
-void Histogram::save(ckpt::Writer& w) const {
-  w.put_u64(buckets_.size());
-  for (u64 b : buckets_) w.put_u64(b);
-}
-
-void Histogram::restore(ckpt::Reader& r) {
-  if (r.get_u64() != buckets_.size())
-    throw Error("checkpoint: histogram bucket-count mismatch");
-  for (u64& b : buckets_) b = r.get_u64();
+void Histogram::fields(ckpt::Archive& a) {
+  a.size(buckets_.size(), "histogram bucket-count");
+  for (u64& b : buckets_) a.u64(b);
 }
 
 } // namespace majc
@@ -390,203 +382,121 @@ void Histogram::restore(ckpt::Reader& r) {
 
 namespace majc::mem {
 
-void Cache::save(ckpt::Writer& w) const {
-  w.put_tag("CCHE");
-  w.put_u32(disabled_ways_);
-  w.put_u64(lines_.size());
-  for (const Line& l : lines_) {
-    w.put_u64(l.tag);
-    w.put_bool(l.valid);
-    w.put_bool(l.dirty);
-    w.put_u32(l.lru);
-  }
-  w.put_u64(hits_);
-  w.put_u64(misses_);
-  w.put_u64(writebacks_);
-}
-
-void Cache::restore(ckpt::Reader& r) {
-  r.expect_tag("CCHE");
-  disabled_ways_ = r.get_u32();
-  if (r.get_u64() != lines_.size())
-    throw Error("checkpoint: cache geometry mismatch (" + cfg_.name + ")");
+void Cache::fields(ckpt::Archive& a) {
+  a.tag("CCHE");
+  a.u32(disabled_ways_);
+  a.size(lines_.size(), "cache geometry (" + cfg_.name + ")");
   for (Line& l : lines_) {
-    l.tag = r.get_u64();
-    l.valid = r.get_bool();
-    l.dirty = r.get_bool();
-    l.lru = r.get_u32();
+    a.u64(l.tag);
+    a.boolean(l.valid);
+    a.boolean(l.dirty);
+    a.u32(l.lru);
   }
-  hits_ = r.get_u64();
-  misses_ = r.get_u64();
-  writebacks_ = r.get_u64();
+  a.u64(hits_);
+  a.u64(misses_);
+  a.u64(writebacks_);
 }
 
-void Dram::save(ckpt::Writer& w) const {
-  w.put_tag("DRAM");
-  w.put_u64(banks_.size());
-  for (const Bank& b : banks_) {
-    w.put_u64(b.busy);
-    w.put_u64(b.open_page);
-  }
-  w.put_u64(channel_free_);
-  w.put_u64(requests_);
-  w.put_u64(bytes_);
-  w.put_u64(busy_cycles_);
-}
-
-void Dram::restore(ckpt::Reader& r) {
-  r.expect_tag("DRAM");
-  if (r.get_u64() != banks_.size())
-    throw Error("checkpoint: DRAM bank-count mismatch");
+void Dram::fields(ckpt::Archive& a) {
+  a.tag("DRAM");
+  a.size(banks_.size(), "DRAM bank-count");
   for (Bank& b : banks_) {
-    b.busy = r.get_u64();
-    b.open_page = r.get_u64();
+    a.u64(b.busy);
+    a.u64(b.open_page);
   }
-  channel_free_ = r.get_u64();
-  requests_ = r.get_u64();
-  bytes_ = r.get_u64();
-  busy_cycles_ = r.get_u64();
+  a.u64(channel_free_);
+  a.u64(requests_);
+  a.u64(bytes_);
+  a.u64(busy_cycles_);
 }
 
-void Crossbar::save(ckpt::Writer& w) const {
-  w.put_tag("XBAR");
-  for (Cycle f : free_) w.put_u64(f);
-  for (u64 b : bytes_) w.put_u64(b);
-  w.put_u64(transfers_);
-  w.put_u64(delayed_grants_);
-  w.put_u64(dropped_grants_);
+void Crossbar::fields(ckpt::Archive& a) {
+  a.tag("XBAR");
+  for (Cycle& f : free_) a.u64(f);
+  for (u64& b : bytes_) a.u64(b);
+  a.u64(transfers_);
+  a.u64(delayed_grants_);
+  a.u64(dropped_grants_);
 }
 
-void Crossbar::restore(ckpt::Reader& r) {
-  r.expect_tag("XBAR");
-  for (Cycle& f : free_) f = r.get_u64();
-  for (u64& b : bytes_) b = r.get_u64();
-  transfers_ = r.get_u64();
-  delayed_grants_ = r.get_u64();
-  dropped_grants_ = r.get_u64();
-}
-
-void Lsu::save(ckpt::Writer& w) const {
-  w.put_tag("LSU ");
-  w.put_u64(fills_);
-  // The buffers retire entries lazily; serialize only entries live past the
+void Lsu::fields(ckpt::Archive& a) {
+  a.tag("LSU ");
+  a.u64(fills_);
+  // The buffers retire entries lazily; save only entries live past the
   // retirement boundary so the byte stream matches the eagerly-pruned
   // representation (entries at or before prune_now_ were architecturally
   // retired — keeping them in memory is purely a hot-path optimization).
-  u64 n_loads = 0;
-  for (Cycle c : loads_) n_loads += c > prune_now_ ? 1 : 0;
-  w.put_u64(n_loads);
-  for (Cycle c : loads_) {
-    if (c > prune_now_) w.put_u64(c);
+  // MSHRs are sorted by line address: internal (insertion) order must not
+  // leak into the byte stream (determinism rule).
+  std::vector<Cycle> loads;
+  std::vector<StoreEntry> stores;
+  std::vector<MshrEntry> mshrs;
+  if (!a.loading()) {
+    for (Cycle c : loads_)
+      if (c > prune_now_) loads.push_back(c);
+    for (const StoreEntry& s : stores_)
+      if (s.done > prune_now_) stores.push_back(s);
+    for (const MshrEntry& e : mshr_)
+      if (e.done > prune_now_) mshrs.push_back(e);
+    std::sort(mshrs.begin(), mshrs.end(), [](const auto& x, const auto& y) {
+      return std::pair(x.line, x.done) < std::pair(y.line, y.done);
+    });
   }
-  u64 n_stores = 0;
-  for (const StoreEntry& s : stores_) n_stores += s.done > prune_now_ ? 1 : 0;
-  w.put_u64(n_stores);
-  for (const StoreEntry& s : stores_) {
-    if (s.done <= prune_now_) continue;
-    w.put_u64(s.addr);
-    w.put_u32(s.bytes);
-    w.put_u64(s.done);
+  // count() bounds each count by the bytes left: 8, 20 and 16 per entry.
+  loads.resize(a.count(loads.size(), 8));
+  for (Cycle& c : loads) a.u64(c);
+  stores.resize(a.count(stores.size(), 20));
+  for (StoreEntry& s : stores) {
+    a.u64(s.addr);
+    a.u32(s.bytes);
+    a.u64(s.done);
   }
-  // MSHRs sorted by line address: internal (insertion) order must not leak
-  // into the byte stream (determinism rule).
-  std::vector<std::pair<Addr, Cycle>> mshrs;
-  mshrs.reserve(mshr_.size());
-  for (const MshrEntry& e : mshr_) {
-    if (e.done > prune_now_) mshrs.emplace_back(e.line, e.done);
+  mshrs.resize(a.count(mshrs.size(), 16));
+  for (MshrEntry& e : mshrs) {
+    a.u64(e.line);
+    a.u64(e.done);
   }
-  std::sort(mshrs.begin(), mshrs.end());
-  w.put_u64(mshrs.size());
-  for (const auto& [line, done] : mshrs) {
-    w.put_u64(line);
-    w.put_u64(done);
-  }
-  w.put_u64(blocked_until_);
-  for (const WcEntry& e : wc_) {
-    w.put_u64(e.line);
-    w.put_u64(e.opened);
-  }
-  w.put_u64(wc_done_);
-  for (u64 c : counters_) w.put_u64(c);
-}
-
-void Lsu::restore(ckpt::Reader& r) {
-  r.expect_tag("LSU ");
-  fills_ = r.get_u64();
-  loads_.resize(r.get_u64());
-  for (Cycle& c : loads_) c = r.get_u64();
-  stores_.resize(r.get_u64());
-  for (StoreEntry& s : stores_) {
-    s.addr = r.get_u64();
-    s.bytes = r.get_u32();
-    s.done = r.get_u64();
-  }
-  mshr_.clear();
-  const u64 n_mshrs = r.get_u64();
-  for (u64 i = 0; i < n_mshrs; ++i) {
-    const Addr line = r.get_u64();
-    const Cycle done = r.get_u64();
-    mshr_.push_back({line, done});
-  }
-  blocked_until_ = r.get_u64();
+  a.u64(blocked_until_);
   for (WcEntry& e : wc_) {
-    e.line = r.get_u64();
-    e.opened = r.get_u64();
+    a.u64(e.line);
+    a.u64(e.opened);
   }
-  wc_done_ = r.get_u64();
-  for (u64& c : counters_) c = r.get_u64();
-  rebuild_watermarks();
+  a.u64(wc_done_);
+  for (u64& c : counters_) a.u64(c);
+  if (a.loading()) {
+    loads_ = std::move(loads);
+    stores_ = std::move(stores);
+    mshr_ = std::move(mshrs);
+    rebuild_watermarks();
+  }
 }
 
-void EccMemory::save(ckpt::Writer& w) const {
-  w.put_tag("ECC ");
+void EccMemory::fields(ckpt::Archive& a) {
+  a.tag("ECC ");
+  // Sorted: hash-set order must not leak into the byte stream.
   std::vector<Addr> healed(healed_.begin(), healed_.end());
   std::sort(healed.begin(), healed.end());
-  w.put_u64(healed.size());
-  for (Addr a : healed) w.put_u64(a);
-  w.put_u64(corrected_);
-  w.put_u64(machine_checks_);
-  w.put_u64(retried_);
-  w.put_u64(poisoned_);
-  w.put_u64(silent_corruptions_);
+  healed.resize(a.count(healed.size(), 8));
+  for (Addr& line : healed) a.u64(line);
+  if (a.loading()) healed_ = {healed.begin(), healed.end()};
+  a.u64(corrected_);
+  a.u64(machine_checks_);
+  a.u64(retried_);
+  a.u64(poisoned_);
+  a.u64(silent_corruptions_);
 }
 
-void EccMemory::restore(ckpt::Reader& r) {
-  r.expect_tag("ECC ");
-  healed_.clear();
-  const u64 n = r.get_u64();
-  for (u64 i = 0; i < n; ++i) healed_.insert(r.get_u64());
-  corrected_ = r.get_u64();
-  machine_checks_ = r.get_u64();
-  retried_ = r.get_u64();
-  poisoned_ = r.get_u64();
-  silent_corruptions_ = r.get_u64();
-}
-
-void MemorySystem::save(ckpt::Writer& w) const {
-  w.put_tag("MSYS");
-  xbar_.save(w);
-  dram_.save(w);
-  dcache_.save(w);
-  for (const Cache& ic : icaches_) ic.save(w);
-  w.put_u64(dport_free_);
-  for (const auto& lsu : lsus_) lsu->save(w);
-  w.put_u64(ifetch_fills_);
-  w.put_u64(ifetch_parity_retries_);
-  w.put_u64(ifetch_machine_checks_);
-}
-
-void MemorySystem::restore(ckpt::Reader& r) {
-  r.expect_tag("MSYS");
-  xbar_.restore(r);
-  dram_.restore(r);
-  dcache_.restore(r);
-  for (Cache& ic : icaches_) ic.restore(r);
-  dport_free_ = r.get_u64();
-  for (auto& lsu : lsus_) lsu->restore(r);
-  ifetch_fills_ = r.get_u64();
-  ifetch_parity_retries_ = r.get_u64();
-  ifetch_machine_checks_ = r.get_u64();
+void MemorySystem::fields(ckpt::Archive& a) {
+  a.tag("MSYS");
+  xbar_.fields(a);
+  dram_.fields(a);
+  dcache_.fields(a);
+  for (Cache& ic : icaches_) ic.fields(a);
+  a.u64(dport_free_);
+  for (auto& lsu : lsus_) lsu->fields(a);
+  a.u64(ifetch_fills_);
+  a.u64(ifetch_parity_retries_);
+  a.u64(ifetch_machine_checks_);
 }
 
 } // namespace majc::mem
@@ -595,106 +505,60 @@ void MemorySystem::restore(ckpt::Reader& r) {
 
 namespace majc::cpu {
 
-void Scoreboard::save(ckpt::Writer& w) const {
-  for (const Entry& e : entries_) {
-    w.put_u64(e.done);
-    w.put_u8(e.producer);
-  }
-}
-
-void Scoreboard::restore(ckpt::Reader& r) {
+void Scoreboard::fields(ckpt::Archive& a) {
   for (Entry& e : entries_) {
-    e.done = r.get_u64();
-    e.producer = r.get_u8();
+    a.u64(e.done);
+    a.u8(e.producer);
   }
 }
 
-void BranchPredictor::save(ckpt::Writer& w) const {
-  w.put_tag("BPRD");
-  w.put_u64(counters_.size());
-  w.put_bytes(counters_);
-  w.put_u32(ghr_);
-  w.put_u64(lookups_);
-  w.put_u64(correct_);
+void BranchPredictor::fields(ckpt::Archive& a) {
+  a.tag("BPRD");
+  a.size(counters_.size(), "branch-predictor size");
+  a.bytes(counters_);
+  a.u32(ghr_);
+  a.u64(lookups_);
+  a.u64(correct_);
 }
 
-void BranchPredictor::restore(ckpt::Reader& r) {
-  r.expect_tag("BPRD");
-  if (r.get_u64() != counters_.size())
-    throw Error("checkpoint: branch-predictor size mismatch");
-  r.get_bytes(counters_);
-  ghr_ = r.get_u32();
-  lookups_ = r.get_u64();
-  correct_ = r.get_u64();
-}
-
-void CycleCpu::save(ckpt::Writer& w) const {
-  w.put_tag("CPU ");
-  w.put_u32(active_);
-  w.put_u64(current_cycle_);
-  w.put_u64(now_cache_);
-  w.put_u64(last_progress_);
-  w.put_string(console_);
-  save_cpu_stats(w, stats_);
-  bpred_.save(w);
-  for (const auto& fu : fu_busy_)
-    for (Cycle c : fu) w.put_u64(c);
-  w.put_bool(trap_.has_value());
-  if (trap_) save_trap(w, *trap_);
-  save_trap(w, last_trap_);
-  w.put_u64(threads_.size());
-  for (const ThreadCtx& th : threads_) {
-    save_state(w, th.state);
-    th.sb.save(w);
-    w.put_u64(th.ready);
-  }
-}
-
-void CycleCpu::restore(ckpt::Reader& r) {
-  r.expect_tag("CPU ");
-  active_ = r.get_u32();
-  current_cycle_ = r.get_u64();
-  now_cache_ = r.get_u64();
-  last_progress_ = r.get_u64();
-  console_ = r.get_string();
-  restore_cpu_stats(r, stats_);
-  bpred_.restore(r);
+void CycleCpu::fields(ckpt::Archive& a) {
+  a.tag("CPU ");
+  a.u32(active_);
+  a.u64(current_cycle_);
+  a.u64(now_cache_);
+  a.u64(last_progress_);
+  a.string(console_);
+  stats_fields(a, stats_);
+  bpred_.fields(a);
   for (auto& fu : fu_busy_)
-    for (Cycle& c : fu) c = r.get_u64();
-  if (r.get_bool()) {
-    Trap t;
-    restore_trap(r, t);
-    trap_ = std::move(t);
-  } else {
-    trap_.reset();
-  }
-  restore_trap(r, last_trap_);
-  if (r.get_u64() != threads_.size())
-    throw Error("checkpoint: hardware-thread count mismatch");
+    for (Cycle& c : fu) a.u64(c);
+  bool pending = trap_.has_value();
+  a.boolean(pending);
+  if (a.loading()) trap_ = pending ? std::make_optional<Trap>() : std::nullopt;
+  if (trap_) trap_fields(a, *trap_);
+  trap_fields(a, last_trap_);
+  a.size(threads_.size(), "hardware-thread count");
   for (ThreadCtx& th : threads_) {
-    restore_state(r, th.state);
-    th.sb.restore(r);
-    th.ready = r.get_u64();
+    state_fields(a, th.state);
+    th.sb.fields(a);
+    a.u64(th.ready);
+  }
+  if (a.loading()) {
     // The packet-index cache is derived state: invalidate it and let the
     // next step() re-resolve through the pc -> index map.
-    th.idx = sim::kNoPacketIndex;
-    th.idx_pc = th.state.pc;
+    for (ThreadCtx& th : threads_) {
+      th.idx = sim::kNoPacketIndex;
+      th.idx_pc = th.state.pc;
+    }
+    env_.thread_id = active_;
   }
-  env_.thread_id = active_;
 }
 
-void CycleSim::save(ckpt::Writer& w) const {
-  save_memory(w, mem_);
-  ms_->save(w);
-  eccmem_->save(w);
-  cpu_->save(w);
-}
-
-void CycleSim::restore(ckpt::Reader& r) {
-  restore_memory(r, mem_);
-  ms_->restore(r);
-  eccmem_->restore(r);
-  cpu_->restore(r);
+void CycleSim::fields(ckpt::Archive& a) {
+  memory_fields(a, mem_);
+  ms_->fields(a);
+  eccmem_->fields(a);
+  cpu_->fields(a);
 }
 
 } // namespace majc::cpu
@@ -703,28 +567,16 @@ void CycleSim::restore(ckpt::Reader& r) {
 
 namespace majc::sim {
 
-void FunctionalSim::save(ckpt::Writer& w) const {
-  w.put_tag("FSIM");
-  save_memory(w, mem_);
-  save_state(w, state_);
-  w.put_string(console_);
-  w.put_u64(packets_run_);
-  w.put_u64(instrs_run_);
-  w.put_u64(traps_delivered_);
-  save_trap(w, last_trap_);
-  w.put_bool(trap_div_zero_);
-}
-
-void FunctionalSim::restore(ckpt::Reader& r) {
-  r.expect_tag("FSIM");
-  restore_memory(r, mem_);
-  restore_state(r, state_);
-  console_ = r.get_string();
-  packets_run_ = r.get_u64();
-  instrs_run_ = r.get_u64();
-  traps_delivered_ = r.get_u64();
-  restore_trap(r, last_trap_);
-  trap_div_zero_ = r.get_bool();
+void FunctionalSim::fields(ckpt::Archive& a) {
+  a.tag("FSIM");
+  memory_fields(a, mem_);
+  state_fields(a, state_);
+  a.string(console_);
+  a.u64(packets_run_);
+  a.u64(instrs_run_);
+  a.u64(traps_delivered_);
+  trap_fields(a, last_trap_);
+  a.boolean(trap_div_zero_);
 }
 
 } // namespace majc::sim
@@ -733,68 +585,37 @@ void FunctionalSim::restore(ckpt::Reader& r) {
 
 namespace majc::soc {
 
-void Fifo::save(ckpt::Writer& w) const {
-  w.put_tag("FIFO");
-  w.put_u32(capacity_);
-  w.put_u64(bytes_.size());
-  for (u8 b : bytes_) w.put_u8(b);
-  w.put_u64(pushed_);
+void Fifo::fields(ckpt::Archive& a) {
+  a.tag("FIFO");
+  a.size32(capacity_, "FIFO capacity");
+  std::vector<u8> bytes(bytes_.begin(), bytes_.end());
+  bytes.resize(a.count(bytes.size(), 1));
+  a.bytes(bytes);
+  if (a.loading()) bytes_.assign(bytes.begin(), bytes.end());
+  a.u64(pushed_);
 }
 
-void Fifo::restore(ckpt::Reader& r) {
-  r.expect_tag("FIFO");
-  if (r.get_u32() != capacity_)
-    throw Error("checkpoint: FIFO capacity mismatch");
-  bytes_.clear();
-  const u64 n = r.get_u64();
-  for (u64 i = 0; i < n; ++i) bytes_.push_back(r.get_u8());
-  pushed_ = r.get_u64();
+void IoPort::fields(ckpt::Archive& a) {
+  a.u64(bytes_in_);
+  a.u64(bytes_out_);
 }
 
-void IoPort::save(ckpt::Writer& w) const {
-  w.put_u64(bytes_in_);
-  w.put_u64(bytes_out_);
+void Dte::fields(ckpt::Archive& a) {
+  a.u64(bytes_moved_);
+  a.u64(descriptors_);
 }
 
-void IoPort::restore(ckpt::Reader& r) {
-  bytes_in_ = r.get_u64();
-  bytes_out_ = r.get_u64();
-}
-
-void Dte::save(ckpt::Writer& w) const {
-  w.put_u64(bytes_moved_);
-  w.put_u64(descriptors_);
-}
-
-void Dte::restore(ckpt::Reader& r) {
-  bytes_moved_ = r.get_u64();
-  descriptors_ = r.get_u64();
-}
-
-void Majc5200::save(ckpt::Writer& w) const {
-  w.put_tag("CHIP");
-  save_memory(w, mem_);
-  ms_.save(w);
-  eccmem_.save(w);
-  for (const auto& cpu : cpus_) cpu->save(w);
-  dte_.save(w);
-  nupa_.save(w);
-  nupa_.fifo().save(w);
-  supa_.save(w);
-  pci_.save(w);
-}
-
-void Majc5200::restore(ckpt::Reader& r) {
-  r.expect_tag("CHIP");
-  restore_memory(r, mem_);
-  ms_.restore(r);
-  eccmem_.restore(r);
-  for (auto& cpu : cpus_) cpu->restore(r);
-  dte_.restore(r);
-  nupa_.restore(r);
-  nupa_.fifo().restore(r);
-  supa_.restore(r);
-  pci_.restore(r);
+void Majc5200::fields(ckpt::Archive& a) {
+  a.tag("CHIP");
+  memory_fields(a, mem_);
+  ms_.fields(a);
+  eccmem_.fields(a);
+  for (auto& cpu : cpus_) cpu->fields(a);
+  dte_.fields(a);
+  nupa_.fields(a);
+  nupa_.fifo().fields(a);
+  supa_.fields(a);
+  pci_.fields(a);
 }
 
 } // namespace majc::soc
@@ -836,46 +657,27 @@ u64 arch_digest(const soc::Majc5200& s) {
 }
 
 std::vector<u8> save_checkpoint(const sim::FunctionalSim& s) {
-  Writer w;
-  write_header(w, Mode::kFunctional, 0, image_hash(s.program().image()));
-  s.save(w);
-  return w.take();
+  return save(s, Mode::kFunctional, 0);
 }
 
 std::vector<u8> save_checkpoint(const cpu::CycleSim& s) {
-  Writer w;
-  write_header(w, Mode::kCycle, config_fingerprint(s.memsys().config()),
-               image_hash(s.program().image()));
-  s.save(w);
-  return w.take();
+  return save(s, Mode::kCycle, config_fingerprint(s.memsys().config()));
 }
 
 std::vector<u8> save_checkpoint(const soc::Majc5200& s) {
-  Writer w;
-  write_header(w, Mode::kChip, config_fingerprint(s.memsys().config()),
-               image_hash(s.program().image()));
-  s.save(w);
-  return w.take();
+  return save(s, Mode::kChip, config_fingerprint(s.memsys().config()));
 }
 
 void restore_checkpoint(sim::FunctionalSim& s, std::span<const u8> bytes) {
-  Reader r(bytes);
-  check_header(r, Mode::kFunctional, 0, image_hash(s.program().image()));
-  s.restore(r);
+  restore(s, bytes, Mode::kFunctional, 0);
 }
 
 void restore_checkpoint(cpu::CycleSim& s, std::span<const u8> bytes) {
-  Reader r(bytes);
-  check_header(r, Mode::kCycle, config_fingerprint(s.memsys().config()),
-               image_hash(s.program().image()));
-  s.restore(r);
+  restore(s, bytes, Mode::kCycle, config_fingerprint(s.memsys().config()));
 }
 
 void restore_checkpoint(soc::Majc5200& s, std::span<const u8> bytes) {
-  Reader r(bytes);
-  check_header(r, Mode::kChip, config_fingerprint(s.memsys().config()),
-               image_hash(s.program().image()));
-  s.restore(r);
+  restore(s, bytes, Mode::kChip, config_fingerprint(s.memsys().config()));
 }
 
 } // namespace majc::ckpt

@@ -9,6 +9,13 @@
 // containers are emitted sorted by key — so saving the same state twice
 // produces byte-identical files.
 //
+// Each checkpointed component lists its state once, in serialization
+// order, in one member `void fields(ckpt::Archive& a)` (all defined in
+// checkpoint.cpp). Save and restore walk the same list, so they cannot
+// drift apart: adding a checkpointed field is one line in that component's
+// fields(). The few asymmetric steps (filtering or sorting on save,
+// rebuilding derived state after load) sit in an `if (a.loading())` branch.
+//
 // Format (version 1):
 //
 //   magic   8 bytes   "MAJCCKPT"
@@ -22,11 +29,15 @@
 // from the SAME image with the SAME TimingConfig (including FaultConfig)
 // and the same mode; version bumps are never read across. Restore throws
 // majc::Error on any mismatch rather than guessing — resuming under a
-// different configuration would silently produce different timing.
+// different configuration would silently produce different timing. Decoding
+// is strict: a bool byte other than 0/1, an out-of-range enum, an element
+// count the remaining bytes cannot hold, or bytes left after the body are
+// all errors.
 #pragma once
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/support/error.h"
@@ -76,9 +87,9 @@ constexpr const char* mode_name(Mode m) {
 class Writer {
 public:
   void put_u8(u8 v) { buf_.push_back(v); }
-  void put_u16(u16 v);
-  void put_u32(u32 v);
-  void put_u64(u64 v);
+  void put_u16(u16 v) { put_le(v, 2); }
+  void put_u32(u32 v) { put_le(v, 4); }
+  void put_u64(u64 v) { put_le(v, 8); }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
   void put_f64(double v);  // bit-exact (bit_cast to u64)
   void put_bytes(std::span<const u8> v);
@@ -91,32 +102,105 @@ public:
   std::vector<u8> take() { return std::move(buf_); }
 
 private:
+  void put_le(u64 v, int bytes);
+
   std::vector<u8> buf_;
 };
 
 /// Bounds-checked little-endian reader over a checkpoint image. Any
-/// overrun or tag mismatch throws majc::Error (truncated / corrupt file).
+/// overrun, tag mismatch or out-of-range value throws majc::Error
+/// (truncated / corrupt file).
 class Reader {
 public:
   explicit Reader(std::span<const u8> data) : data_(data) {}
 
   u8 get_u8();
-  u16 get_u16();
-  u32 get_u32();
-  u64 get_u64();
-  bool get_bool() { return get_u8() != 0; }
+  u16 get_u16() { return static_cast<u16>(get_le(2)); }
+  u32 get_u32() { return static_cast<u32>(get_le(4)); }
+  u64 get_u64() { return get_le(8); }
+  bool get_bool();  // the byte must be 0 or 1
   double get_f64();
   void get_bytes(std::span<u8> out);
   std::string get_string();
   void expect_tag(const char (&tag)[5]);
+  /// One-byte enum; throws unless it is below `count`.
+  u8 get_enum(u8 count, const char* what);
+  /// Element count of a variable-length section; throws unless the
+  /// remaining bytes can hold that many elements of at least
+  /// `min_elem_bytes` each, so a forged count never reaches an allocator.
+  u64 get_count(std::size_t min_elem_bytes);
 
   std::size_t remaining() const { return data_.size() - pos_; }
 
 private:
   void need(std::size_t n) const;
+  u64 get_le(int bytes);
 
   std::span<const u8> data_;
   std::size_t pos_ = 0;
+};
+
+/// One walk over a component's state for either direction: wraps a Writer
+/// when saving and a Reader when loading. Each primitive writes the value
+/// on save and overwrites it on load. Member names follow the wire types,
+/// so inside the class the majc:: integer aliases are spelled qualified.
+class Archive {
+public:
+  explicit Archive(Writer& w) : w_(&w) {}
+  explicit Archive(Reader& r) : r_(&r) {}
+
+  bool loading() const { return r_ != nullptr; }
+
+  void u8(majc::u8& v) {
+    if (r_) v = r_->get_u8();
+    else w_->put_u8(v);
+  }
+  void u32(majc::u32& v) {
+    if (r_) v = r_->get_u32();
+    else w_->put_u32(v);
+  }
+  void u64(majc::u64& v) {
+    if (r_) v = r_->get_u64();
+    else w_->put_u64(v);
+  }
+  void boolean(bool& v) {
+    if (r_) v = r_->get_bool();
+    else w_->put_bool(v);
+  }
+  void string(std::string& s) {
+    if (r_) s = r_->get_string();
+    else w_->put_string(s);
+  }
+  void bytes(std::span<majc::u8> v) {
+    if (r_) r_->get_bytes(v);
+    else w_->put_bytes(v);
+  }
+  void tag(const char (&t)[5]) {
+    if (r_) r_->expect_tag(t);
+    else w_->put_tag(t);
+  }
+  /// One-byte enum of `count` values: writes `v` on save; returns the
+  /// stored value, range-checked by Reader::get_enum, on load.
+  majc::u8 enum8(majc::u8 v, majc::u8 count, const char* what) {
+    if (r_) return r_->get_enum(count, what);
+    w_->put_u8(v);
+    return v;
+  }
+  /// A size fixed by the configuration (memory, cache geometry, ...):
+  /// written on save; on load the stored value must equal `n`.
+  void size(majc::u64 n, std::string_view what);
+  void size32(majc::u32 n, std::string_view what);  // u32 on the wire
+  /// Element count of a variable-length section: writes `n` on save;
+  /// returns the stored count, bounded by Reader::get_count, on load.
+  majc::u64 count(majc::u64 n, std::size_t min_elem_bytes) {
+    if (r_) return r_->get_count(min_elem_bytes);
+    w_->put_u64(n);
+    return n;
+  }
+
+private:
+  Writer* w_ = nullptr;
+  Reader* r_ = nullptr;
 };
 
 /// FNV-1a fingerprint over every TimingConfig field (doubles via their bit

@@ -8,8 +8,7 @@
 #include "src/support/types.h"
 
 namespace majc::ckpt {
-class Writer;
-class Reader;
+class Archive;
 } // namespace majc::ckpt
 
 namespace majc {
@@ -46,8 +45,7 @@ public:
   u64 total() const;
   double mean() const;
 
-  void save(ckpt::Writer& w) const;   // defined in support/checkpoint.cpp
-  void restore(ckpt::Reader& r);
+  void fields(ckpt::Archive& a);
 
 private:
   std::vector<u64> buckets_;

@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "src/cpu/cycle_cpu.h"
 #include "src/masm/assembler.h"
@@ -314,6 +317,7 @@ u64 fnv1a64(std::span<const u8> bytes) {
 }
 
 u64 le_u64_at(std::span<const u8> bytes, std::size_t off) {
+  if (off + 8 > bytes.size()) throw std::out_of_range("read past the end");
   u64 v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | bytes[off + i];
   return v;
@@ -322,7 +326,8 @@ u64 le_u64_at(std::span<const u8> bytes, std::size_t off) {
 /// Offset just past the first occurrence of a four-character section tag.
 std::size_t after_tag(std::span<const u8> bytes, const char (&tag)[5]) {
   const auto it = std::search(bytes.begin(), bytes.end(), tag, tag + 4);
-  EXPECT_NE(it, bytes.end()) << "no '" << tag << "' section";
+  if (it == bytes.end())
+    throw std::runtime_error(std::string("no '") + tag + "' section");
   return static_cast<std::size_t>(it - bytes.begin()) + 4;
 }
 
@@ -416,6 +421,64 @@ TEST(CkptFormat, ChipRunIsPinned) {
   soc::Majc5200 back(assemble_or_throw(kLoopProg));
   ckpt::restore_checkpoint(back, bytes);
   EXPECT_EQ(ckpt::save_checkpoint(back), bytes);
+}
+
+
+// -------------------------------------------------------------- hardening
+
+TEST(CkptHardening, ForgedLsuCountThrowsBeforeAllocating) {
+  cpu::CycleSim first(assemble_or_throw(kMissProg), soak_faults());
+  first.run(100);
+  auto bytes = ckpt::save_checkpoint(first);
+  // The load count follows the LSU tag and the u64 fill counter. 2^40
+  // loads would be 8 TB: the count must be refused against the bytes left,
+  // not handed to the allocator.
+  const std::size_t off = after_tag(bytes, "LSU ") + 8;
+  const u64 forged = u64{1} << 40;
+  for (int i = 0; i < 8; ++i)
+    bytes[off + i] = static_cast<u8>(forged >> (8 * i));
+  cpu::CycleSim second(assemble_or_throw(kMissProg), soak_faults());
+  EXPECT_THROW(ckpt::restore_checkpoint(second, bytes), Error);
+}
+
+TEST(CkptHardening, StrictDecodingRejectsOutOfRangeBytes) {
+  sim::FunctionalSim src(assemble_or_throw(kLoopProg));
+  src.run(300);
+  const std::vector<u8> good = ckpt::save_checkpoint(src);
+  // The functional body ends with last_trap (code u8, cpu u32, pc u64,
+  // cycle u64, unit u8, detail string, value u32, deliverable bool) and
+  // the trap_div_zero bool. No trap was taken, so detail is empty and
+  // last_trap is 35 bytes.
+  const std::size_t div_zero = good.size() - 1;
+  const std::size_t trap_code = div_zero - 35;
+  ASSERT_EQ(good[trap_code], static_cast<u8>(TrapCause::kNone));
+  ASSERT_LE(good[div_zero], 1);
+
+  struct Case {
+    const char* name;
+    std::function<void(std::vector<u8>&)> corrupt;
+  };
+  const Case cases[] = {
+      {"bool byte 2", [&](std::vector<u8>& b) { b[div_zero] = 2; }},
+      {"TrapCause 0xff", [&](std::vector<u8>& b) { b[trap_code] = 0xff; }},
+      {"trailing byte", [](std::vector<u8>& b) { b.push_back(0); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<u8> bytes = good;
+    c.corrupt(bytes);
+    sim::FunctionalSim dst(assemble_or_throw(kLoopProg));
+    EXPECT_THROW(ckpt::restore_checkpoint(dst, bytes), Error);
+  }
+
+  // The header's mode byte is range-checked too (it follows magic and
+  // version).
+  std::vector<u8> bad_mode = good;
+  bad_mode[12] = 0xff;
+  EXPECT_THROW(ckpt::peek_mode(bad_mode), Error);
+
+  sim::FunctionalSim dst(assemble_or_throw(kLoopProg));
+  EXPECT_NO_THROW(ckpt::restore_checkpoint(dst, good));
 }
 
 } // namespace
