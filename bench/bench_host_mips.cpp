@@ -1,7 +1,8 @@
 // Host-throughput smoke benchmark: how many simulated packets per host
 // second the interpreters sustain. Runs guest workloads (IDCT, FIR, the
-// mb_decode macroblock pipeline, and a dual-CPU sum-of-products chip run)
-// under the instruction-accurate and cycle-accurate models, timing the run
+// mb_decode macroblock pipeline, convolve and color_convert on the threaded
+// backend only, and a dual-CPU sum-of-products chip run) under the
+// instruction-accurate and cycle-accurate models, timing the run
 // loop only — sim construction (dominated by zeroing guest memory) is kept
 // off the clock so the numbers track the interpreter hot path.
 //
@@ -342,6 +343,21 @@ int main(int argc, char** argv) {
         }));
     results.push_back(measure(std::string(c.name) + "/cycle", min_secs,
                               [&] { return run_cycle(img, c.spec); }));
+  }
+  // farm-large's two kernels, which dominate its functional-mode records:
+  // threaded rows only, gating the backend the farm runs by default.
+  std::vector<KernelCase> threaded_cases;
+  threaded_cases.push_back({"convolve", kernels::make_convolve_spec()});
+  threaded_cases.push_back(
+      {"color_convert", kernels::make_color_convert_spec()});
+  for (const KernelCase& c : threaded_cases) {
+    const sim::ProgramRef prog =
+        sim::make_program(masm::assemble_or_throw(c.spec.source));
+    prog->threaded();
+    results.push_back(
+        measure(std::string(c.name) + "/functional-threaded", min_secs, [&] {
+          return run_functional(prog, c.spec, sim::ExecBackend::kThreaded);
+        }));
   }
   {
     const masm::Image img = masm::assemble_or_throw(sop_program());

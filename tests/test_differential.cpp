@@ -48,20 +48,33 @@ std::string random_program(u64 seed, u32 packets) {
   auto reg = [&] { return "g" + std::to_string(10 + rng.next_below(20)); };
   auto lreg = [&] { return "l" + std::to_string(rng.next_below(8)); };
 
-  static const char* kFu0Ops[] = {"add", "sub", "and", "or", "xor",
-                                  "sll", "srl", "sra", "cmplt", "cmpltu"};
+  static const char* kFu0Ops[] = {"add",   "sub",    "and",   "or",
+                                  "xor",   "sll",    "srl",   "sra",
+                                  "cmplt", "cmpltu", "cmpne", "cmpleu",
+                                  "cmovnz", "cmovz"};
   static const char* kComputeOps[] = {
       "add",      "sub",    "and",      "or",       "xor",    "andn",
       "sll",      "srl",    "sra",      "satadd",   "satsub", "mul",
       "mulhi",    "madd",   "msub",     "padd",     "padd.s", "psub.u",
       "pmulh.s",  "pmuls15.s", "pmaddh.s", "dotp",  "lzd",    "pdist",
       "fadd",     "fsub",   "fmul",     "fmadd",    "fmin",   "fmax",
-      "fneg",     "fabs",   "fcmplt",   "itof",     "cmpeq",  "cmple"};
+      "fneg",     "fabs",   "fcmplt",   "itof",     "cmpeq",  "cmple",
+      "cmpne",    "cmpleu", "cmovnz",   "cmovz",    "pick",   "mulhiu"};
+  // I-form ALU ops (every FU) with a random simm9, so shift counts span
+  // negative values and counts >= 32 (the executor masks them to 5 bits).
+  static const char* kImmOps[] = {"addi", "andi", "ori",  "xori",
+                                  "slli", "srli", "srai"};
+  auto imm9 = [&] {
+    return std::to_string(static_cast<i32>(rng.next_below(512)) - 256);
+  };
 
   u32 loop_depth = 0;
   u32 loops = 0;
+  // Divide operands: g4 = INT_MIN and g5 = -1 (the one overflowing
+  // quotient); g0 reads zero (the total divide-by-zero result).
+  src += "sethi g4, 32768\nsetlo g5, -1\n";
   for (u32 p = 0; p < packets; ++p) {
-    const u32 kind = rng.next_below(10);
+    const u32 kind = rng.next_below(13);
     if (kind == 0) {
       // Masked word load from scratch.
       src += std::string("andi g9, ") + reg() + ", 252\n";
@@ -80,15 +93,47 @@ std::string random_program(u64 seed, u32 packets) {
       src += "addi g8, g8, -1\n";
       src += "bnz g8, lp" + std::to_string(loops - 1) + "\n";
       loop_depth = 0;
+    } else if (kind == 10) {
+      // Masked sub-word load from scratch (halfwords stay 2-aligned).
+      static const char* kLoads[] = {"ldb", "ldbu", "ldh", "ldhu"};
+      const u32 op = rng.next_below(4);
+      src += std::string("andi g9, ") + reg() + (op < 2 ? ", 255\n" : ", 254\n");
+      src += std::string(kLoads[op]) + " " + reg() + ", g3, g9\n";
+    } else if (kind == 11) {
+      const bool half = rng.next_below(2) == 0;
+      src += std::string("andi g9, ") + reg() + (half ? ", 254\n" : ", 255\n");
+      src += std::string(half ? "sth " : "stb ") + reg() + ", g3, g9\n";
+    } else if (kind == 12) {
+      // Slot-0 divide, dividend INT_MIN or random, divisor zero, -1 or
+      // random, beside up to two compute slots.
+      static const char* kDividends[] = {"g4", nullptr};
+      static const char* kDivisors[] = {"g0", "g5", nullptr};
+      const char* x = kDividends[rng.next_below(2)];
+      const char* y = kDivisors[rng.next_below(3)];
+      src += std::string(rng.next_below(2) == 0 ? "div " : "divu ") + reg() +
+             ", " + (x ? std::string(x) : reg()) + ", " +
+             (y ? std::string(y) : reg());
+      const u32 extra = rng.next_below(3);
+      for (u32 s = 0; s < extra; ++s) {
+        src += std::string(" | ") +
+               kComputeOps[rng.next_below(std::size(kComputeOps))] + " " +
+               reg() + ", " + reg() + ", " + reg();
+      }
+      src += "\n";
     } else {
       // A 1-4 wide compute packet.
       const u32 width = 1 + rng.next_below(4);
       for (u32 s = 0; s < width; ++s) {
         if (s > 0) src += " | ";
+        const std::string rd = (s > 0 && rng.next_below(3) == 0) ? lreg() : reg();
+        if (rng.next_below(4) == 0) {
+          src += std::string(kImmOps[rng.next_below(std::size(kImmOps))]) +
+                 " " + rd + ", " + reg() + ", " + imm9();
+          continue;
+        }
         const char* op =
             s == 0 ? kFu0Ops[rng.next_below(std::size(kFu0Ops))]
                    : kComputeOps[rng.next_below(std::size(kComputeOps))];
-        const std::string rd = (s > 0 && rng.next_below(3) == 0) ? lreg() : reg();
         src += std::string(op) + " " + rd + ", " + reg() + ", " + reg();
       }
       src += "\n";
