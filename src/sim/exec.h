@@ -8,16 +8,117 @@
 // The same executor backs both the functional simulator and the
 // cycle-accurate model, which layers timing on top of the returned
 // PacketOutcome, so timed runs compute bit-identical results.
+//
+// The op semantics the threaded-code backend (threaded.cpp) shares with
+// this executor live here, once: MAJC_INT_OPS lists every integer ALU and
+// multiply op with its result expression, and int_div / int_divu, dotp_eval
+// and fmadd_eval define the rest of the ops that backend runs directly.
+// Both engines stamp them into their own dispatch code, so a shared
+// definition never costs a call.
 #pragma once
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include "src/isa/encoding.h"
 #include "src/sim/memory.h"
 #include "src/sim/state.h"
 #include "src/support/inline_vec.h"
+#include "src/support/saturate.h"
+#include "src/support/trap.h"
 
 namespace majc::sim {
+
+// Every integer ALU, compare, conditional-move and multiply op, one row
+// each: X(name, src, result). `name` pastes to isa::Op::k<name> (and to the
+// threaded backend's record kind of the same name). `src` says where
+// operand b comes from: R = rs2, I = the immediate. `result` is an
+// expression over the u32 operands a (rs1), b and old (rd before the
+// packet). Each engine expands the rows into its own switch or
+// computed-goto labels. The threaded backend's pair records rely on two
+// contiguous runs: Add..Cmpleu and Addi..Srai.
+#define MAJC_INT_OPS(X)                                                       \
+  X(Add, R, a + b)                                                            \
+  X(Sub, R, a - b)                                                            \
+  X(And, R, a & b)                                                            \
+  X(Or, R, a | b)                                                             \
+  X(Xor, R, a ^ b)                                                            \
+  X(Andn, R, a & ~b)                                                          \
+  X(Sll, R, a << (b & 31))                                                    \
+  X(Srl, R, a >> (b & 31))                                                    \
+  X(Sra, R, static_cast<u32>(static_cast<i32>(a) >> (b & 31)))                \
+  X(Cmpeq, R, a == b)                                                         \
+  X(Cmpne, R, a != b)                                                         \
+  X(Cmplt, R, static_cast<i32>(a) < static_cast<i32>(b))                      \
+  X(Cmple, R, static_cast<i32>(a) <= static_cast<i32>(b))                     \
+  X(Cmpltu, R, a < b)                                                         \
+  X(Cmpleu, R, a <= b)                                                        \
+  X(Cmovnz, R, b != 0 ? a : old)                                              \
+  X(Cmovz, R, b == 0 ? a : old)                                               \
+  X(Pick, R, old != 0 ? a : b)                                                \
+  X(Satadd, R,                                                                \
+    static_cast<u32>(sat_add32(static_cast<i32>(a), static_cast<i32>(b))))   \
+  X(Satsub, R,                                                                \
+    static_cast<u32>(sat_sub32(static_cast<i32>(a), static_cast<i32>(b))))   \
+  X(Addi, I, a + b)                                                           \
+  X(Andi, I, a & b)                                                           \
+  X(Ori, I, a | b)                                                            \
+  X(Xori, I, a ^ b)                                                           \
+  X(Slli, I, a << (b & 31))                                                   \
+  X(Srli, I, a >> (b & 31))                                                   \
+  X(Srai, I, static_cast<u32>(static_cast<i32>(a) >> (b & 31)))               \
+  X(Setlo, I, b)                                                              \
+  X(Sethi, I, (b & 0xFFFF) << 16)                                             \
+  X(Orlo, I, old | (b & 0xFFFF))                                              \
+  X(Mul, R, a * b)                                                            \
+  X(Mulhi, R,                                                                 \
+    static_cast<u32>((i64{static_cast<i32>(a)} * i64{static_cast<i32>(b)}) >> \
+                     32))                                                     \
+  X(Mulhiu, R, static_cast<u32>((u64{a} * u64{b}) >> 32))                    \
+  X(Madd, R, old + a * b)                                                     \
+  X(Msub, R, old - a * b)
+
+/// Signed divide. Division by zero yields 0 and INT_MIN / -1 wraps to
+/// INT_MIN: the model keeps divide total (documented choice) unless the run
+/// armed the divide-by-zero trap.
+[[gnu::always_inline]] inline u32 int_div(u32 a, u32 b, bool trap_zero) {
+  const i32 x = static_cast<i32>(a);
+  const i32 y = static_cast<i32>(b);
+  if (y == 0) {
+    if (trap_zero) {
+      raise_trap(TrapCause::kDivideByZero, "div with zero divisor");
+    }
+    return 0;
+  }
+  if (x == std::numeric_limits<i32>::min() && y == -1) return a;
+  return static_cast<u32>(x / y);
+}
+
+/// Unsigned divide; total like int_div unless the trap is armed.
+[[gnu::always_inline]] inline u32 int_divu(u32 a, u32 b, bool trap_zero) {
+  if (b == 0 && trap_zero) {
+    raise_trap(TrapCause::kDivideByZero, "divu with zero divisor");
+  }
+  return b == 0 ? 0 : a / b;
+}
+
+/// DOTP: full 32-bit precision dot product of the 16-bit lane pairs of a
+/// and b, accumulated into old (paper §4). Each lane product fits in i32;
+/// the sum wraps in u32 (two -32768 * -32768 products overflow i32).
+[[gnu::always_inline]] inline u32 dotp_eval(u32 old, u32 a, u32 b) {
+  const i32 hi = static_cast<i16>(a >> 16) * static_cast<i16>(b >> 16);
+  const i32 lo = static_cast<i16>(a) * static_cast<i16>(b);
+  return old + static_cast<u32>(hi) + static_cast<u32>(lo);
+}
+
+/// FMADD: single-precision fused multiply-add a * b + acc, on raw bits.
+[[gnu::always_inline]] inline u32 fmadd_eval(u32 acc, u32 a, u32 b) {
+  return std::bit_cast<u32>(std::fmaf(std::bit_cast<float>(a),
+                                      std::bit_cast<float>(b),
+                                      std::bit_cast<float>(acc)));
+}
 
 struct WriteBack {
   isa::PhysReg reg = 0;
@@ -98,9 +199,9 @@ struct PacketOutcome {
 };
 
 // Per-class slot executors (internal; dispatched by execute_packet).
-void exec_alu(const isa::Instr& in, u32 fu, const CpuState& st, SlotEffects& fx);
-void exec_muldiv(const isa::Instr& in, u32 fu, const CpuState& st,
-                 const ExecEnv& env, SlotEffects& fx);
+// exec_int covers both integer classes (OpClass::kAlu and kMulDiv).
+void exec_int(const isa::Instr& in, u32 fu, const CpuState& st,
+              const ExecEnv& env, SlotEffects& fx);
 void exec_simd(const isa::Instr& in, u32 fu, const CpuState& st, SlotEffects& fx);
 void exec_fp32(const isa::Instr& in, u32 fu, const CpuState& st, SlotEffects& fx);
 void exec_fp64(const isa::Instr& in, u32 fu, const CpuState& st, SlotEffects& fx);
@@ -124,28 +225,14 @@ struct PacketScratch {
   SlotEffects fxn;  // slots 1..3 shared: only `writes` reset/consumed
 };
 
-/// Execute the packet at st.pc (which must equal the packet's address);
-/// commits register writes, performs memory effects and advances st.pc.
-PacketOutcome execute_packet(CpuState& st, const isa::Packet& p, ExecEnv& env);
-
-/// Fast-path variant with the packet's precomputed fall-through address
-/// (from PacketMeta), skipping the per-issue p.bytes() recomputation.
-PacketOutcome execute_packet(CpuState& st, const isa::Packet& p,
-                             Addr fall_through, ExecEnv& env);
-
-/// Hot-loop variant: caller owns the scratch, so per-packet setup is a few
-/// field resets instead of full SlotEffects construction. All three
-/// overloads produce identical architectural effects.
-PacketOutcome execute_packet(CpuState& st, const isa::Packet& p,
-                             Addr fall_through, ExecEnv& env,
-                             PacketScratch& scratch);
-
 struct PacketMeta;
 
-/// Hottest variant: dispatches each slot on the predecoded per-slot op
-/// class (PacketMeta::SlotMeta::cls) instead of re-reading the OpInfo
-/// table, and takes the fall-through address from the meta. Identical
-/// architectural effects to the other overloads.
+/// Execute the packet at st.pc (which must equal the packet's address):
+/// dispatches each slot on its predecoded op class, commits register
+/// writes, performs memory effects and advances st.pc to the meta's
+/// fall-through or the taken target. The caller owns `scratch` and reuses it
+/// across packets, so per-packet setup is a few field resets instead of full
+/// SlotEffects construction.
 PacketOutcome execute_packet(CpuState& st, const isa::Packet& p,
                              const PacketMeta& m, ExecEnv& env,
                              PacketScratch& scratch);

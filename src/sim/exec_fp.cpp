@@ -43,7 +43,9 @@ void exec_fp32(const Instr& in, u32 fu, const CpuState& st, SlotEffects& fx) {
     case Op::kFadd: r = as_u32(a + b); break;
     case Op::kFsub: r = as_u32(a - b); break;
     case Op::kFmul: r = as_u32(a * b); break;
-    case Op::kFmadd: r = as_u32(std::fmaf(a, b, acc)); break;
+    case Op::kFmadd:
+      r = fmadd_eval(st.read(rd), st.reads(in.rs1, fu), st.reads(in.rs2, fu));
+      break;
     case Op::kFmsub: r = as_u32(std::fmaf(-a, b, acc)); break;
     case Op::kFmin: r = as_u32(std::fmin(a, b)); break;
     case Op::kFmax: r = as_u32(std::fmax(a, b)); break;

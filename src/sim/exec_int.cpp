@@ -1,116 +1,37 @@
-// Integer ALU, compare, conditional-move and multiply/divide semantics.
-#include <limits>
-
+// Integer ALU, compare, conditional-move and multiply/divide semantics: the
+// interpreter's expansion of the MAJC_INT_OPS table (exec.h).
 #include "src/sim/exec.h"
-#include "src/support/bits.h"
-#include "src/support/saturate.h"
-#include "src/support/trap.h"
 
 namespace majc::sim {
 
 using isa::Instr;
 using isa::Op;
 
-void exec_alu(const Instr& in, u32 fu, const CpuState& st, SlotEffects& fx) {
+void exec_int(const Instr& in, u32 fu, const CpuState& st, const ExecEnv& env,
+              SlotEffects& fx) {
   const isa::PhysReg rd = isa::to_phys(in.rd, fu);
   const u32 a = st.reads(in.rs1, fu);
-  const u32 b = st.reads(in.rs2, fu);
-  const u32 old = st.read(rd);
-  const i32 imm = in.imm;
+  const u32 rs2 = st.reads(in.rs2, fu);
+  const u32 imm = static_cast<u32>(in.imm);
+  [[maybe_unused]] const u32 old = st.read(rd);
   u32 r = 0;
   switch (in.op) {
-    case Op::kAdd: r = a + b; break;
-    case Op::kSub: r = a - b; break;
-    case Op::kAnd: r = a & b; break;
-    case Op::kOr: r = a | b; break;
-    case Op::kXor: r = a ^ b; break;
-    case Op::kAndn: r = a & ~b; break;
-    case Op::kSll: r = a << (b & 31); break;
-    case Op::kSrl: r = a >> (b & 31); break;
-    case Op::kSra: r = static_cast<u32>(static_cast<i32>(a) >> (b & 31)); break;
-    case Op::kAddi: r = a + static_cast<u32>(imm); break;
-    case Op::kAndi: r = a & static_cast<u32>(imm); break;
-    case Op::kOri: r = a | static_cast<u32>(imm); break;
-    case Op::kXori: r = a ^ static_cast<u32>(imm); break;
-    case Op::kSlli: r = a << (static_cast<u32>(imm) & 31); break;
-    case Op::kSrli: r = a >> (static_cast<u32>(imm) & 31); break;
-    case Op::kSrai:
-      r = static_cast<u32>(static_cast<i32>(a) >> (static_cast<u32>(imm) & 31));
-      break;
-    case Op::kSetlo: r = static_cast<u32>(imm); break;
-    case Op::kSethi: r = static_cast<u32>(imm & 0xFFFF) << 16; break;
-    case Op::kOrlo: r = old | (static_cast<u32>(imm) & 0xFFFF); break;
-    case Op::kCmpeq: r = (a == b) ? 1 : 0; break;
-    case Op::kCmpne: r = (a != b) ? 1 : 0; break;
-    case Op::kCmplt: r = (static_cast<i32>(a) < static_cast<i32>(b)) ? 1 : 0; break;
-    case Op::kCmple: r = (static_cast<i32>(a) <= static_cast<i32>(b)) ? 1 : 0; break;
-    case Op::kCmpltu: r = (a < b) ? 1 : 0; break;
-    case Op::kCmpleu: r = (a <= b) ? 1 : 0; break;
-    case Op::kCmovnz: r = (b != 0) ? a : old; break;
-    case Op::kCmovz: r = (b == 0) ? a : old; break;
-    case Op::kPick: r = (old != 0) ? a : b; break;
-    case Op::kSatadd:
-      r = static_cast<u32>(sat_add32(static_cast<i32>(a), static_cast<i32>(b)));
-      break;
-    case Op::kSatsub:
-      r = static_cast<u32>(sat_sub32(static_cast<i32>(a), static_cast<i32>(b)));
-      break;
-    default:
-      raise_trap(TrapCause::kIllegalInstruction, "exec_alu: unexpected opcode");
+#define MAJC_B_R rs2
+#define MAJC_B_I imm
+#define MAJC_INT_CASE(name, src, result) \
+  case Op::k##name: {                    \
+    const u32 b = MAJC_B_##src;          \
+    r = (result);                        \
+    break;                               \
   }
-  fx.writes.push_back({rd, r});
-}
-
-void exec_muldiv(const Instr& in, u32 fu, const CpuState& st,
-                 const ExecEnv& env, SlotEffects& fx) {
-  const isa::PhysReg rd = isa::to_phys(in.rd, fu);
-  const i32 a = static_cast<i32>(st.reads(in.rs1, fu));
-  const i32 b = static_cast<i32>(st.reads(in.rs2, fu));
-  const i32 old = static_cast<i32>(st.read(rd));
-  u32 r = 0;
-  switch (in.op) {
-    case Op::kMul:
-      r = static_cast<u32>(a) * static_cast<u32>(b);
-      break;
-    case Op::kMulhi:
-      r = static_cast<u32>((i64{a} * i64{b}) >> 32);
-      break;
-    case Op::kMulhiu:
-      r = static_cast<u32>((u64{static_cast<u32>(a)} * u64{static_cast<u32>(b)}) >> 32);
-      break;
-    case Op::kMadd:
-      r = static_cast<u32>(old) + static_cast<u32>(a) * static_cast<u32>(b);
-      break;
-    case Op::kMsub:
-      r = static_cast<u32>(old) - static_cast<u32>(a) * static_cast<u32>(b);
-      break;
-    case Op::kDiv:
-      // Division by zero yields 0 and INT_MIN / -1 wraps to INT_MIN: the
-      // model keeps divide total (documented choice) unless the run armed
-      // the divide-by-zero trap.
-      if (b == 0) {
-        if (env.trap_div_zero) {
-          raise_trap(TrapCause::kDivideByZero, "div with zero divisor");
-        }
-        r = 0;
-      } else if (a == std::numeric_limits<i32>::min() && b == -1) {
-        r = static_cast<u32>(a);
-      } else {
-        r = static_cast<u32>(a / b);
-      }
-      break;
-    case Op::kDivu: {
-      const u32 ua = static_cast<u32>(a);
-      const u32 ub = static_cast<u32>(b);
-      if (ub == 0 && env.trap_div_zero) {
-        raise_trap(TrapCause::kDivideByZero, "divu with zero divisor");
-      }
-      r = (ub == 0) ? 0 : ua / ub;
-      break;
-    }
+    MAJC_INT_OPS(MAJC_INT_CASE)
+#undef MAJC_INT_CASE
+#undef MAJC_B_R
+#undef MAJC_B_I
+    case Op::kDiv: r = int_div(a, rs2, env.trap_div_zero); break;
+    case Op::kDivu: r = int_divu(a, rs2, env.trap_div_zero); break;
     default:
-      raise_trap(TrapCause::kIllegalInstruction,
-                 "exec_muldiv: unexpected opcode");
+      raise_trap(TrapCause::kIllegalInstruction, "exec_int: unexpected opcode");
   }
   fx.writes.push_back({rd, r});
 }

@@ -62,11 +62,7 @@ void exec_simd(const Instr& in, u32 fu, const CpuState& st, SlotEffects& fx) {
     case Op::kPmaddh: r = lanewise_madd_int(old, a, b, mode); break;
     case Op::kPmadds15: r = lanewise_madd_fx(old, a, b, kFracS15, mode); break;
     case Op::kPmadds213: r = lanewise_madd_fx(old, a, b, kFracS213, mode); break;
-    case Op::kDotp:
-      // Full 32-bit precision dot product accumulate (paper §4).
-      r = old + static_cast<u32>(s16(hi16(a)) * s16(hi16(b)) +
-                                 s16(lo16(a)) * s16(lo16(b)));
-      break;
+    case Op::kDotp: r = dotp_eval(old, a, b); break;
     case Op::kPmuls31:
       r = static_cast<u32>(fx_mul_s31(lo16(a), lo16(b)));
       break;

@@ -138,12 +138,13 @@ RunResult FunctionalSim::run_interp(u64 max_packets) {
   // transfers follow the predecoded indices; only dynamic transfers (jmpl,
   // or a resumed run) consult the pc -> index map.
   u32 idx = kNoPacketIndex;
+  PacketScratch scratch;
   while (!state_.halted && res.packets < max_packets) {
     try {
       if (idx == kNoPacketIndex) idx = program_->index_of(state_.pc);
       const isa::Packet& p = program_->packet(idx);
       const PacketMeta& m = program_->meta(idx);
-      const PacketOutcome out = execute_packet(state_, p, m.fall_through, env);
+      const PacketOutcome out = execute_packet(state_, p, m, env, scratch);
       ++res.packets;
       ++packets_run_;
       res.instrs += out.width;

@@ -3,23 +3,20 @@
 // See threaded.h for the lowering rules and DESIGN.md §13 for the
 // equivalence argument. The executor is written against the same semantic
 // primitives as the interpreter (CpuState::read/write, the MemoryBus typed
-// helpers on the trap path, the per-class exec_* functions for SIMD/FP and
+// helpers on the trap path, the MAJC_INT_OPS table and the other shared op
+// definitions of exec.h, the per-class exec_* functions for SIMD/FP and
 // execute_packet for generic packets), so every guest-visible outcome —
 // including trap cause/detail strings — is bit-identical by construction.
 #include "src/sim/threaded.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <mutex>
 
 #include "src/sim/exec.h"
 #include "src/sim/functional_sim.h"
 #include "src/sim/predecode.h"
-#include "src/support/saturate.h"
 #include "src/support/trap.h"
 
 namespace majc::sim {
@@ -29,20 +26,13 @@ using isa::Instr;
 using isa::Op;
 using isa::PhysReg;
 
-// Record kinds. The X-macro keeps the enum and the computed-goto label
-// table in lockstep (a mismatch is a compile error, not a misdispatch).
-// The seven immediate-ALU kinds kAddi..kSrai must stay contiguous: the
-// pair-fusion selector is computed as (kind - kAddi).
+// Record kinds. One integer kind per MAJC_INT_OPS row (exec.h), named after
+// it, comes first; MAJC_REC_KINDS lists the rest. The enum and the
+// computed-goto label table expand both lists in the same order, so a
+// mismatch is a compile error, not a misdispatch.
 #define MAJC_REC_KINDS(X)                                                     \
-  /* R-form ALU: a=rd, b=rs1, c=rs2 */                                        \
-  X(kAdd) X(kSub) X(kAnd) X(kOr) X(kXor) X(kAndn) X(kSll) X(kSrl) X(kSra)     \
-  X(kCmpeq) X(kCmpne) X(kCmplt) X(kCmple) X(kCmpltu) X(kCmpleu)               \
-  X(kCmovnz) X(kCmovz) X(kPick) X(kSatadd) X(kSatsub)                         \
-  /* I-form ALU: a=rd, b=rs1, imm (contiguous; see above) */                  \
-  X(kAddi) X(kAndi) X(kOri) X(kXori) X(kSlli) X(kSrli) X(kSrai)               \
-  X(kOrlo) X(kSetImm) X(kGettick)                                             \
-  /* integer multiply family: a=rd, b=rs1, c=rs2 */                           \
-  X(kMul) X(kMulhi) X(kMulhiu) X(kMadd) X(kMsub) X(kDiv) X(kDivu)             \
+  /* integer divide: a=rd, b=rs1, c=rs2; GETTICK: a=rd */                     \
+  X(kDiv) X(kDivu) X(kGettick)                                                \
   /* memory: ea = read(b) + read(c) + imm; a = data register */               \
   X(kLdb) X(kLdbu) X(kLdh) X(kLdhu) X(kLdw) X(kLdl) X(kLdg)                   \
   X(kStb) X(kSth) X(kStw) X(kStl) X(kStg) X(kStcw) X(kCas) X(kSwap)           \
@@ -53,20 +43,24 @@ using isa::PhysReg;
   X(kSlotOp) X(kSlotOp2)                                                      \
   /* direct SIMD / FP specializations for the Table 1/2 hot ops */            \
   X(kDotp) X(kDotp2) X(kDotp3) X(kFmaddF32) X(kFmadd2)                        \
-  /* fused records */                                                         \
-  X(kIaluIalu) X(kAluAlu) X(kLdwAddi) X(kStwAddi) X(kAddiBnz) X(kAddiBz)      \
+  /* parallel-read integer pairs: arg = the two integer kinds */              \
+  X(kIaluIalu) X(kAluAlu)                                                     \
   /* deferred-commit parallel packet: optional mem slot 0 + slot-op slots */  \
   X(kMemSlots)                                                                \
   /* fallbacks / sentinels */                                                 \
   X(kNopRec) X(kGenericPacket) X(kEndOfCode)
 
 enum Kind : u8 {
+#define MAJC_INT_KIND(name, src, result) k##name,
+  MAJC_INT_OPS(MAJC_INT_KIND)
+#undef MAJC_INT_KIND
 #define MAJC_KIND_ENUM(k) k,
   MAJC_REC_KINDS(MAJC_KIND_ENUM)
 #undef MAJC_KIND_ENUM
       kNumKinds
 };
 static_assert(kNumKinds <= 256);
+static_assert(kAdd == 0, "integer kinds come first (int_name indexes them)");
 
 using Rec = ThreadedCode::Rec;
 using SlotOp = ThreadedCode::SlotOp;
@@ -75,29 +69,33 @@ using SlotOp = ThreadedCode::SlotOp;
 // Translation
 // ---------------------------------------------------------------------------
 
-/// Immediate-ALU fusion selector for kIaluIalu (kind must be kAddi..kSrai).
-constexpr u8 ialu_sel(u8 kind) { return static_cast<u8>(kind - kAddi); }
-
-constexpr bool is_ialu_kind(u8 kind) { return kind >= kAddi && kind <= kSrai; }
-
-const char* ialu_name(u8 kind) {
-  static constexpr const char* kNames[] = {"addi", "andi", "ori", "xori",
-                                           "slli", "srli", "srai"};
-  return kNames[kind - kAddi];
+/// Record kind of a MAJC_INT_OPS op; -1 for every other op.
+int int_kind(Op op) {
+  switch (op) {
+#define MAJC_INT_KIND_OF(name, src, result) \
+  case Op::k##name:                         \
+    return k##name;
+    MAJC_INT_OPS(MAJC_INT_KIND_OF)
+#undef MAJC_INT_KIND_OF
+    default:
+      return -1;
+  }
 }
 
-/// Register-ALU fusion selector for kAluAlu (kind must be kAdd..kCmpleu;
-/// 15 kinds, so a selector still fits in a nibble).
-constexpr u8 alu_sel(u8 kind) { return static_cast<u8>(kind - kAdd); }
-
-constexpr bool is_alu_kind(u8 kind) { return kind >= kAdd && kind <= kCmpleu; }
-
-const char* alu_name(u8 kind) {
-  static constexpr const char* kNames[] = {
-      "add",   "sub",   "and",    "or",    "xor",   "andn",  "sll",   "srl",
-      "sra",   "cmpeq", "cmpne",  "cmplt", "cmple", "cmpltu", "cmpleu"};
-  return kNames[kind - kAdd];
+/// Mnemonic of an integer record kind (names fused pairs in ShapeStats).
+std::string int_name(u32 kind) {
+  static constexpr Op kOps[] = {
+#define MAJC_INT_OP(name, src, result) Op::k##name,
+      MAJC_INT_OPS(MAJC_INT_OP)
+#undef MAJC_INT_OP
+  };
+  return std::string(isa::op_info(kOps[kind]).mnemonic);
 }
+
+/// Pair-record operand shapes: kAluAlu pairs register-register kinds
+/// Add..Cmpleu, kIaluIalu pairs register-immediate kinds Addi..Srai.
+constexpr bool is_alu_kind(int kind) { return kind >= kAdd && kind <= kCmpleu; }
+constexpr bool is_ialu_kind(int kind) { return kind >= kAddi && kind <= kSrai; }
 
 /// Does slot 0 of this packet redirect control flow? Such packets execute
 /// slots 1..w-1 first and the transfer last (the transfer decides the next
@@ -130,6 +128,26 @@ bool sequential_ok(const PacketMeta& m, const u32* order, u32 n) {
   return true;
 }
 
+/// Memory record kind for ops with the unified ea = b + c + imm lowering
+/// (kMemSlots packs one of these beside its slot ops); -1 for anything else.
+int mem_kind_of(Op op) {
+  switch (op) {
+    case Op::kLdb: case Op::kLdbi: return kLdb;
+    case Op::kLdbu: case Op::kLdbui: return kLdbu;
+    case Op::kLdh: case Op::kLdhi: return kLdh;
+    case Op::kLdhu: case Op::kLdhui: return kLdhu;
+    case Op::kLdw: case Op::kLdwi: return kLdw;
+    case Op::kLdl: case Op::kLdli: return kLdl;
+    case Op::kLdg: case Op::kLdgi: return kLdg;
+    case Op::kStb: case Op::kStbi: return kStb;
+    case Op::kSth: case Op::kSthi: return kSth;
+    case Op::kStw: case Op::kStwi: return kStw;
+    case Op::kStl: case Op::kStli: return kStl;
+    case Op::kStg: case Op::kStgi: return kStg;
+    default: return -1;
+  }
+}
+
 /// Lower one slot to a record. Returns false when the op has no specialized
 /// lowering (the whole packet then falls back to kGenericPacket).
 bool lower_slot(const Instr& in, u32 fu, const PacketMeta& m,
@@ -146,19 +164,6 @@ bool lower_slot(const Instr& in, u32 fu, const PacketMeta& m,
     r.a = rd;
     r.b = rs1;
     r.c = rs2;
-    out.push_back(r);
-  };
-  auto rri = [&](u8 kind) {
-    r.kind = kind;
-    r.a = rd;
-    r.b = rs1;
-    r.imm = in.imm;
-    out.push_back(r);
-  };
-  auto set_imm = [&](u32 value) {
-    r.kind = kSetImm;
-    r.a = rd;
-    r.arg = value;
     out.push_back(r);
   };
   // Unified load/store addressing: ea = read(b) + read(c) + imm. The R form
@@ -183,63 +188,19 @@ bool lower_slot(const Instr& in, u32 fu, const PacketMeta& m,
     out.push_back(r);
   };
 
+  if (const int k = int_kind(in.op); k >= 0) {
+    // Each MAJC_INT_OPS row takes operand b from c or imm (its src column).
+    r.imm = in.imm;
+    rrr(static_cast<u8>(k));
+    return true;
+  }
+  if (const int k = mem_kind_of(in.op); k >= 0) {
+    mem(static_cast<u8>(k));
+    return true;
+  }
   switch (in.op) {
-    case Op::kAdd: rrr(kAdd); return true;
-    case Op::kSub: rrr(kSub); return true;
-    case Op::kAnd: rrr(kAnd); return true;
-    case Op::kOr: rrr(kOr); return true;
-    case Op::kXor: rrr(kXor); return true;
-    case Op::kAndn: rrr(kAndn); return true;
-    case Op::kSll: rrr(kSll); return true;
-    case Op::kSrl: rrr(kSrl); return true;
-    case Op::kSra: rrr(kSra); return true;
-    case Op::kCmpeq: rrr(kCmpeq); return true;
-    case Op::kCmpne: rrr(kCmpne); return true;
-    case Op::kCmplt: rrr(kCmplt); return true;
-    case Op::kCmple: rrr(kCmple); return true;
-    case Op::kCmpltu: rrr(kCmpltu); return true;
-    case Op::kCmpleu: rrr(kCmpleu); return true;
-    case Op::kCmovnz: rrr(kCmovnz); return true;
-    case Op::kCmovz: rrr(kCmovz); return true;
-    case Op::kPick: rrr(kPick); return true;
-    case Op::kSatadd: rrr(kSatadd); return true;
-    case Op::kSatsub: rrr(kSatsub); return true;
-    case Op::kAddi: rri(kAddi); return true;
-    case Op::kAndi: rri(kAndi); return true;
-    case Op::kOri: rri(kOri); return true;
-    case Op::kXori: rri(kXori); return true;
-    case Op::kSlli: rri(kSlli); return true;
-    case Op::kSrli: rri(kSrli); return true;
-    case Op::kSrai: rri(kSrai); return true;
-    case Op::kSetlo: set_imm(static_cast<u32>(in.imm)); return true;
-    case Op::kSethi:
-      set_imm(static_cast<u32>(in.imm & 0xFFFF) << 16);
-      return true;
-    case Op::kOrlo:
-      r.kind = kOrlo;
-      r.a = rd;
-      r.imm = in.imm;
-      out.push_back(r);
-      return true;
-    case Op::kMul: rrr(kMul); return true;
-    case Op::kMulhi: rrr(kMulhi); return true;
-    case Op::kMulhiu: rrr(kMulhiu); return true;
-    case Op::kMadd: rrr(kMadd); return true;
-    case Op::kMsub: rrr(kMsub); return true;
     case Op::kDiv: rrr(kDiv); return true;
     case Op::kDivu: rrr(kDivu); return true;
-    case Op::kLdb: case Op::kLdbi: mem(kLdb); return true;
-    case Op::kLdbu: case Op::kLdbui: mem(kLdbu); return true;
-    case Op::kLdh: case Op::kLdhi: mem(kLdh); return true;
-    case Op::kLdhu: case Op::kLdhui: mem(kLdhu); return true;
-    case Op::kLdw: case Op::kLdwi: mem(kLdw); return true;
-    case Op::kLdl: case Op::kLdli: mem(kLdl); return true;
-    case Op::kLdg: case Op::kLdgi: mem(kLdg); return true;
-    case Op::kStb: case Op::kStbi: mem(kStb); return true;
-    case Op::kSth: case Op::kSthi: mem(kSth); return true;
-    case Op::kStw: case Op::kStwi: mem(kStw); return true;
-    case Op::kStl: case Op::kStli: mem(kStl); return true;
-    case Op::kStg: case Op::kStgi: mem(kStg); return true;
     case Op::kStcw: rrr(kStcw); return true;
     case Op::kCas: rrr(kCas); return true;
     case Op::kSwap: rrr(kSwap); return true;
@@ -281,7 +242,9 @@ bool lower_slot(const Instr& in, u32 fu, const PacketMeta& m,
       return true;
     case Op::kGetcpu:
     case Op::kGettid:
-      set_imm(0);  // FunctionalSim runs cpu 0 / thread 0
+      r.kind = kSetlo;  // FunctionalSim runs cpu 0 / thread 0: setlo 0
+      r.a = rd;
+      out.push_back(r);
       return true;
     case Op::kGettick:
       r.kind = kGettick;
@@ -310,26 +273,6 @@ bool lower_slot(const Instr& in, u32 fu, const PacketMeta& m,
   }
 }
 
-/// Memory record kind for ops with the unified ea = b + c + imm lowering
-/// (kMemSlots packs one of these beside its slot ops); -1 for anything else.
-int mem_kind_of(Op op) {
-  switch (op) {
-    case Op::kLdb: case Op::kLdbi: return kLdb;
-    case Op::kLdbu: case Op::kLdbui: return kLdbu;
-    case Op::kLdh: case Op::kLdhi: return kLdh;
-    case Op::kLdhu: case Op::kLdhui: return kLdhu;
-    case Op::kLdw: case Op::kLdwi: return kLdw;
-    case Op::kLdl: case Op::kLdli: return kLdl;
-    case Op::kLdg: case Op::kLdgi: return kLdg;
-    case Op::kStb: case Op::kStbi: return kStb;
-    case Op::kSth: case Op::kSthi: return kSth;
-    case Op::kStw: case Op::kStwi: return kStw;
-    case Op::kStl: case Op::kStli: return kStl;
-    case Op::kStg: case Op::kStgi: return kStg;
-    default: return -1;
-  }
-}
-
 /// Fuse adjacent records of one packet (the list is in execution order and
 /// already proven sequential-equivalent, so combining two neighbours into
 /// one record preserves semantics). Returns true and writes `f` on a match.
@@ -344,21 +287,8 @@ bool fuse_pair(const Rec& x, const Rec& y, const std::vector<SlotOp>& slot_ops,
     f.c = y.a;
     f.d = y.b;
     f.imm2 = y.imm;
-    f.e = static_cast<u8>((ialu_sel(y.kind) << 4) | ialu_sel(x.kind));
-    ++stats.fused[std::string(ialu_name(x.kind)) + "+" + ialu_name(y.kind)];
-    return true;
-  }
-  if ((x.kind == kLdw || x.kind == kStw) && y.kind == kAddi) {
-    f = Rec{};
-    f.kind = x.kind == kLdw ? kLdwAddi : kStwAddi;
-    f.a = x.a;
-    f.b = x.b;
-    f.c = x.c;
-    f.imm = x.imm;
-    f.d = y.a;
-    f.e = y.b;
-    f.imm2 = y.imm;
-    ++stats.fused[std::string(x.kind == kLdw ? "ldw" : "stw") + "+addi"];
+    f.arg = static_cast<u32>((y.kind << 8) | x.kind);
+    ++stats.fused[int_name(x.kind) + "+" + int_name(y.kind)];
     return true;
   }
   if (is_alu_kind(x.kind) && is_alu_kind(y.kind)) {
@@ -370,8 +300,8 @@ bool fuse_pair(const Rec& x, const Rec& y, const std::vector<SlotOp>& slot_ops,
     f.d = y.a;
     f.e = y.b;
     f.imm = y.c;
-    f.imm2 = static_cast<i32>((alu_sel(y.kind) << 4) | alu_sel(x.kind));
-    ++stats.fused[std::string(alu_name(x.kind)) + "+" + alu_name(y.kind)];
+    f.arg = static_cast<u32>((y.kind << 8) | x.kind);
+    ++stats.fused[int_name(x.kind) + "+" + int_name(y.kind)];
     return true;
   }
   if (x.kind == kDotp && y.kind == kDotp) {
@@ -426,13 +356,11 @@ std::string format_shape_stats(const ShapeStats& s, std::size_t top_n) {
   std::string out;
   char buf[160];
   std::snprintf(buf, sizeof buf,
-                "packets %llu  records %llu  generic %llu  fused-pairs %llu  "
-                "fused-cross %llu\n",
+                "packets %llu  records %llu  generic %llu  fused-pairs %llu\n",
                 static_cast<unsigned long long>(s.packets),
                 static_cast<unsigned long long>(s.records),
                 static_cast<unsigned long long>(s.generic_packets),
-                static_cast<unsigned long long>(s.fused_pairs),
-                static_cast<unsigned long long>(s.fused_cross));
+                static_cast<unsigned long long>(s.fused_pairs));
   out += buf;
   auto dump = [&](const char* title, const std::map<std::string, u64>& m,
                   std::size_t limit) {
@@ -460,9 +388,10 @@ ThreadedCode translate(const Program& prog) {
   const u32 n = static_cast<u32>(prog.num_packets());
   tc.stats.packets = n;
 
-  // Pass 1: lower each packet to its own record list (execution order),
-  // branch targets still expressed as packet indices.
-  std::vector<std::vector<Rec>> lists(n);
+  // Lower each packet to its records (execution order), branch targets
+  // still expressed as packet indices.
+  tc.entry.resize(n);
+  std::vector<Rec> out;
   for (u32 i = 0; i < n; ++i) {
     const isa::Packet& p = prog.packet(i);
     const PacketMeta& m = prog.meta(i);
@@ -487,7 +416,7 @@ ThreadedCode translate(const Program& prog) {
       for (u32 s = 0; s < p.width; ++s) order[w++] = s;
     }
 
-    std::vector<Rec>& out = lists[i];
+    out.clear();
     bool ok = sequential_ok(m, order, w);
     if (ok) {
       for (u32 s = 0; s < w && ok; ++s) {
@@ -503,23 +432,12 @@ ThreadedCode translate(const Program& prog) {
     }
     if (!ok) {
       out.clear();
-      // Parallel-safe fast path for the 2-wide immediate-ALU packets the
-      // scheduler emits with intra-packet hazards (parallel-read semantics):
-      // kIaluIalu reads both sources before writing either destination.
-      auto ikind = [](const Instr& in) -> int {
-        switch (in.op) {
-          case Op::kAddi: return kAddi;
-          case Op::kAndi: return kAndi;
-          case Op::kOri: return kOri;
-          case Op::kXori: return kXori;
-          case Op::kSlli: return kSlli;
-          case Op::kSrli: return kSrli;
-          case Op::kSrai: return kSrai;
-          default: return -1;
-        }
-      };
-      const int k0 = p.width == 2 ? ikind(p.slot[0]) : -1;
-      const int k1 = p.width == 2 ? ikind(p.slot[1]) : -1;
+      // A 2-wide immediate-ALU packet with an intra-packet hazard still
+      // runs as one kIaluIalu record, which reads both sources before
+      // writing either destination (parallel-read semantics).
+      const bool ialu_pair = p.width == 2 &&
+                             is_ialu_kind(int_kind(p.slot[0].op)) &&
+                             is_ialu_kind(int_kind(p.slot[1].op));
       // Deferred-commit parallel packet: slot 0 is a unified-addressing
       // memory op (or contributes nothing), every other slot runs through a
       // per-class executor. The slot ops evaluate into scratch effects that
@@ -550,39 +468,24 @@ ThreadedCode translate(const Program& prog) {
         }
         mem_slots_ok = mem_slots_ok && n_slot_ops > 0;
       }
-      if (k0 >= 0 && k1 >= 0) {
+      if (ialu_pair) {
+        lower_slot(p.slot[0], 0, m, out, tc.slot_ops);
+        lower_slot(p.slot[1], 1, m, out, tc.slot_ops);
         Rec f;
-        f.kind = kIaluIalu;
-        f.pc = static_cast<u32>(m.pc);
-        f.a = isa::to_phys(p.slot[0].rd, 0);
-        f.b = isa::to_phys(p.slot[0].rs1, 0);
-        f.imm = p.slot[0].imm;
-        f.c = isa::to_phys(p.slot[1].rd, 1);
-        f.d = isa::to_phys(p.slot[1].rs1, 1);
-        f.imm2 = p.slot[1].imm;
-        f.e = static_cast<u8>((ialu_sel(static_cast<u8>(k1)) << 4) |
-                              ialu_sel(static_cast<u8>(k0)));
-        out.push_back(f);
+        fuse_pair(out[0], out[1], tc.slot_ops, tc.stats, f);
+        f.pc = out[0].pc;
+        out.assign(1, f);
         ++tc.stats.fused_pairs;
-        ++tc.stats.fused[std::string(ialu_name(static_cast<u8>(k0))) + "+" +
-                         ialu_name(static_cast<u8>(k1))];
       } else if (mem_slots_ok) {
+        // The memory op's own record supplies the a/b/c/imm addressing.
         Rec f;
+        if (mk != 0xFF && lower_slot(p.slot[0], 0, m, out, tc.slot_ops)) {
+          f = out.back();
+          out.clear();
+        }
         f.kind = kMemSlots;
         f.pc = static_cast<u32>(m.pc);
         f.d = static_cast<u8>(mk);
-        if (mk != 0xFF) {
-          const Instr& s0 = p.slot[0];
-          f.a = isa::to_phys(s0.rd, 0);
-          f.b = isa::to_phys(s0.rs1, 0);
-          if (s0.info().form == isa::Form::kI) {
-            f.c = 0;
-            f.imm = s0.imm;
-          } else {
-            f.c = isa::to_phys(s0.rs2, 0);
-            f.imm = 0;
-          }
-        }
         f.arg = static_cast<u32>(tc.slot_ops.size());
         f.e = static_cast<u8>(n_slot_ops);
         for (u32 s = 1; s < p.width; ++s) {
@@ -619,42 +522,11 @@ ThreadedCode translate(const Program& prog) {
     // The last-executed record retires the packet.
     out.back().pk_add = 1;
     out.back().ins_add = static_cast<u8>(m.width);
-  }
-
-  // Pass 2: cross-packet fusion of the add-immediate + conditional-branch
-  // loop idiom. The fused record is prepended at packet A's entry; A's
-  // unfused record stays behind it (the packet-cap-safe fallback) and B's
-  // records stay at B's own entry (branch targets into B keep working).
-  for (u32 i = 0; i + 1 < n; ++i) {
-    std::vector<Rec>& a = lists[i];
-    const std::vector<Rec>& b = lists[i + 1];
-    if (a.size() != 1 || b.size() != 1) continue;
-    if (a[0].kind != kAddi || (b[0].kind != kBnz && b[0].kind != kBz)) continue;
-    if (prog.meta(i).next_index != i + 1) continue;
-    if (a[0].a == 0 || a[0].a != b[0].a) continue;  // branch reads the sum
-    if (b[0].arg == kNoPacketIndex) continue;       // taken target translated
-    if (prog.meta(i + 1).next_index == kNoPacketIndex) continue;
-    Rec f;
-    f.kind = b[0].kind == kBnz ? kAddiBnz : kAddiBz;
-    f.pc = a[0].pc;
-    f.a = a[0].a;
-    f.b = a[0].b;
-    f.imm = a[0].imm;
-    f.arg = b[0].arg;  // taken packet index; patched below
-    f.imm2 = static_cast<i32>(prog.meta(i + 1).next_index);  // not-taken pkt
-    f.pk_add = 2;
-    f.ins_add = 2;
-    a.insert(a.begin(), f);
-    ++tc.stats.fused_cross;
-    ++tc.stats.fused[b[0].kind == kBnz ? "addi+bnz" : "addi+bz"];
-  }
-
-  // Pass 3: concatenate and patch packet indices to record indices.
-  tc.entry.resize(n);
-  for (u32 i = 0; i < n; ++i) {
     tc.entry[i] = static_cast<u32>(tc.recs.size());
-    tc.recs.insert(tc.recs.end(), lists[i].begin(), lists[i].end());
+    tc.recs.insert(tc.recs.end(), out.begin(), out.end());
   }
+
+  // Patch packet indices to record indices.
   Rec end;
   end.kind = kEndOfCode;
   end.pc = static_cast<u32>(n == 0 ? prog.image().code_base
@@ -668,11 +540,6 @@ ThreadedCode translate(const Program& prog) {
       case kCallRec:
       case kGenericPacket:
         r.arg = r.arg < n ? tc.entry[r.arg] : kNoRec;
-        break;
-      case kAddiBnz:
-      case kAddiBz:
-        r.arg = tc.entry[r.arg];
-        r.imm2 = static_cast<i32>(tc.entry[static_cast<u32>(r.imm2)]);
         break;
       default:
         break;
@@ -714,6 +581,7 @@ struct ExecCtx {
   // Per-granule fast-path bounds: ea <= limN iff [ea, ea+N) is in range
   // (negative when the arena is smaller than the granule).
   i64 lim1, lim2, lim4, lim8, lim32;
+  PacketScratch& scratch;  // kGenericPacket's execute_packet storage
 };
 
 /// Evaluate one side-table slot op through its per-class executor into `fx`
@@ -731,21 +599,6 @@ inline void run_slot_op(ExecCtx& cx, u32 idx) {
   SlotEffects fx;
   eval_slot_op(cx, cx.tc.slot_ops[idx], fx);
   for (const WriteBack& wb : fx.writes) cx.st.write(wb.reg, wb.value);
-}
-
-// Direct-specialization helpers; bit-exact twins of the exec_simd / exec_fp32
-// bodies for dotp and fmadd.
-constexpr i32 sx16(u32 v) { return static_cast<i16>(static_cast<u16>(v)); }
-
-inline u32 dotp_eval(u32 old, u32 a, u32 b) {
-  return old + static_cast<u32>(sx16(a >> 16) * sx16(b >> 16) +
-                                sx16(a) * sx16(b));
-}
-
-inline u32 fmadd_eval(u32 acc, u32 a, u32 b) {
-  return std::bit_cast<u32>(std::fmaf(std::bit_cast<float>(a),
-                                      std::bit_cast<float>(b),
-                                      std::bit_cast<float>(acc)));
 }
 
 /// The deferred memory op of a kMemSlots record: executes (and may throw)
@@ -797,54 +650,21 @@ void exec_mem_slot(ExecCtx& cx, CpuState& st, const Rec* rp) {
   }
 }
 
-inline u32 alu_eval(u32 sel, u32 x, u32 y) {
-  switch (sel) {
-    case 0: return x + y;
-    case 1: return x - y;
-    case 2: return x & y;
-    case 3: return x | y;
-    case 4: return x ^ y;
-    case 5: return x & ~y;
-    case 6: return x << (y & 31);
-    case 7: return x >> (y & 31);
-    case 8: return static_cast<u32>(static_cast<i32>(x) >> (y & 31));
-    case 9: return x == y ? 1 : 0;
-    case 10: return x != y ? 1 : 0;
-    case 11: return static_cast<i32>(x) < static_cast<i32>(y) ? 1 : 0;
-    case 12: return static_cast<i32>(x) <= static_cast<i32>(y) ? 1 : 0;
-    case 13: return x < y ? 1 : 0;
-    default: return x <= y ? 1 : 0;
-  }
-}
-
-inline u32 ialu_eval(u32 sel, u32 a, i32 imm) {
-  switch (sel) {
-    case 0: return a + static_cast<u32>(imm);
-    case 1: return a & static_cast<u32>(imm);
-    case 2: return a | static_cast<u32>(imm);
-    case 3: return a ^ static_cast<u32>(imm);
-    case 4: return a << (static_cast<u32>(imm) & 31);
-    case 5: return a >> (static_cast<u32>(imm) & 31);
+/// The pair records' evaluator: integer record kind `k` on (a, b, old),
+/// stamped from MAJC_INT_OPS into each pair record.
+[[gnu::always_inline]] inline u32 int_eval(u32 k, u32 a, u32 b, u32 old) {
+  switch (k) {
+#define MAJC_INT_EVAL(name, src, result) \
+  case k##name:                          \
+    return (result);
+    MAJC_INT_OPS(MAJC_INT_EVAL)
+#undef MAJC_INT_EVAL
     default:
-      return static_cast<u32>(static_cast<i32>(a) >>
-                              (static_cast<u32>(imm) & 31));
+      return 0;  // unreachable: pair records carry integer kinds only
   }
 }
 
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(MAJC_THREADED_SWITCH_DISPATCH)
-#define MAJC_COMPUTED_GOTO 1
-#else
-#define MAJC_COMPUTED_GOTO 0
-#endif
-
-#if MAJC_COMPUTED_GOTO
-#define CASE(k) L_##k
 #define DISPATCH() goto* kLbl[rp->kind]
-#else
-#define CASE(k) case k
-#define DISPATCH() continue
-#endif
 
 // Retire the packet this record completes (interior records carry
 // pk_add == 0) and fall through to the next record. On a cap exit st.pc is
@@ -909,203 +729,49 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
   const Rec* rp = recs + start_rec;
   CpuState& st = cx.st;
 
-#if MAJC_COMPUTED_GOTO
   static const void* const kLbl[] = {
+#define MAJC_INT_LBL(name, src, result) &&L_k##name,
+      MAJC_INT_OPS(MAJC_INT_LBL)
+#undef MAJC_INT_LBL
 #define MAJC_KIND_LBL(k) &&L_##k,
       MAJC_REC_KINDS(MAJC_KIND_LBL)
 #undef MAJC_KIND_LBL
   };
   DISPATCH();
-#else
-  for (;;) {
-    switch (static_cast<Kind>(rp->kind)) {
-#endif
 
-  CASE(kAdd): {
-    st.write(rp->a, st.read(rp->b) + st.read(rp->c));
-    RETIRE_NEXT();
+  // One label per MAJC_INT_OPS row. The record holds rd in a, rs1 in b and
+  // rs2 in c; the row's src column takes operand b from c (R) or imm (I).
+#define MAJC_B_R st.read(rp->c)
+#define MAJC_B_I static_cast<u32>(rp->imm)
+#define MAJC_INT_REC(name, src, result)              \
+  L_k##name : {                                      \
+    [[maybe_unused]] const u32 a = st.read(rp->b);   \
+    const u32 b = MAJC_B_##src;                      \
+    [[maybe_unused]] const u32 old = st.read(rp->a); \
+    st.write(rp->a, (result));                       \
+    RETIRE_NEXT();                                   \
   }
-  CASE(kSub): {
-    st.write(rp->a, st.read(rp->b) - st.read(rp->c));
-    RETIRE_NEXT();
-  }
-  CASE(kAnd): {
-    st.write(rp->a, st.read(rp->b) & st.read(rp->c));
-    RETIRE_NEXT();
-  }
-  CASE(kOr): {
-    st.write(rp->a, st.read(rp->b) | st.read(rp->c));
-    RETIRE_NEXT();
-  }
-  CASE(kXor): {
-    st.write(rp->a, st.read(rp->b) ^ st.read(rp->c));
-    RETIRE_NEXT();
-  }
-  CASE(kAndn): {
-    st.write(rp->a, st.read(rp->b) & ~st.read(rp->c));
-    RETIRE_NEXT();
-  }
-  CASE(kSll): {
-    st.write(rp->a, st.read(rp->b) << (st.read(rp->c) & 31));
-    RETIRE_NEXT();
-  }
-  CASE(kSrl): {
-    st.write(rp->a, st.read(rp->b) >> (st.read(rp->c) & 31));
-    RETIRE_NEXT();
-  }
-  CASE(kSra): {
-    st.write(rp->a, static_cast<u32>(static_cast<i32>(st.read(rp->b)) >>
-                                     (st.read(rp->c) & 31)));
-    RETIRE_NEXT();
-  }
-  CASE(kCmpeq): {
-    st.write(rp->a, st.read(rp->b) == st.read(rp->c) ? 1 : 0);
-    RETIRE_NEXT();
-  }
-  CASE(kCmpne): {
-    st.write(rp->a, st.read(rp->b) != st.read(rp->c) ? 1 : 0);
-    RETIRE_NEXT();
-  }
-  CASE(kCmplt): {
-    st.write(rp->a, static_cast<i32>(st.read(rp->b)) <
-                            static_cast<i32>(st.read(rp->c))
-                        ? 1
-                        : 0);
-    RETIRE_NEXT();
-  }
-  CASE(kCmple): {
-    st.write(rp->a, static_cast<i32>(st.read(rp->b)) <=
-                            static_cast<i32>(st.read(rp->c))
-                        ? 1
-                        : 0);
-    RETIRE_NEXT();
-  }
-  CASE(kCmpltu): {
-    st.write(rp->a, st.read(rp->b) < st.read(rp->c) ? 1 : 0);
-    RETIRE_NEXT();
-  }
-  CASE(kCmpleu): {
-    st.write(rp->a, st.read(rp->b) <= st.read(rp->c) ? 1 : 0);
-    RETIRE_NEXT();
-  }
-  CASE(kCmovnz): {
-    if (st.read(rp->c) != 0) st.write(rp->a, st.read(rp->b));
-    RETIRE_NEXT();
-  }
-  CASE(kCmovz): {
-    if (st.read(rp->c) == 0) st.write(rp->a, st.read(rp->b));
-    RETIRE_NEXT();
-  }
-  CASE(kPick): {
-    st.write(rp->a, st.read(rp->a) != 0 ? st.read(rp->b) : st.read(rp->c));
-    RETIRE_NEXT();
-  }
-  CASE(kSatadd): {
-    st.write(rp->a, static_cast<u32>(
-                        sat_add32(static_cast<i32>(st.read(rp->b)),
-                                  static_cast<i32>(st.read(rp->c)))));
-    RETIRE_NEXT();
-  }
-  CASE(kSatsub): {
-    st.write(rp->a, static_cast<u32>(
-                        sat_sub32(static_cast<i32>(st.read(rp->b)),
-                                  static_cast<i32>(st.read(rp->c)))));
-    RETIRE_NEXT();
-  }
-  CASE(kAddi): {
-    st.write(rp->a, st.read(rp->b) + static_cast<u32>(rp->imm));
-    RETIRE_NEXT();
-  }
-  CASE(kAndi): {
-    st.write(rp->a, st.read(rp->b) & static_cast<u32>(rp->imm));
-    RETIRE_NEXT();
-  }
-  CASE(kOri): {
-    st.write(rp->a, st.read(rp->b) | static_cast<u32>(rp->imm));
-    RETIRE_NEXT();
-  }
-  CASE(kXori): {
-    st.write(rp->a, st.read(rp->b) ^ static_cast<u32>(rp->imm));
-    RETIRE_NEXT();
-  }
-  CASE(kSlli): {
-    st.write(rp->a, st.read(rp->b) << (static_cast<u32>(rp->imm) & 31));
-    RETIRE_NEXT();
-  }
-  CASE(kSrli): {
-    st.write(rp->a, st.read(rp->b) >> (static_cast<u32>(rp->imm) & 31));
-    RETIRE_NEXT();
-  }
-  CASE(kSrai): {
-    st.write(rp->a, static_cast<u32>(static_cast<i32>(st.read(rp->b)) >>
-                                     (static_cast<u32>(rp->imm) & 31)));
-    RETIRE_NEXT();
-  }
-  CASE(kOrlo): {
-    st.write(rp->a, st.read(rp->a) | (static_cast<u32>(rp->imm) & 0xFFFF));
-    RETIRE_NEXT();
-  }
-  CASE(kSetImm): {
-    st.write(rp->a, rp->arg);
-    RETIRE_NEXT();
-  }
-  CASE(kGettick): {
+  MAJC_INT_OPS(MAJC_INT_REC)
+#undef MAJC_INT_REC
+#undef MAJC_B_R
+#undef MAJC_B_I
+  L_kGettick: {
     st.write(rp->a, static_cast<u32>(cx.packets_run));
     RETIRE_NEXT();
   }
-  CASE(kMul): {
-    st.write(rp->a, st.read(rp->b) * st.read(rp->c));
-    RETIRE_NEXT();
-  }
-  CASE(kMulhi): {
+  L_kDiv: {
+    st.pc = rp->pc;  // int_div may trap
     st.write(rp->a,
-             static_cast<u32>((i64{static_cast<i32>(st.read(rp->b))} *
-                               i64{static_cast<i32>(st.read(rp->c))}) >>
-                              32));
+             int_div(st.read(rp->b), st.read(rp->c), cx.env.trap_div_zero));
     RETIRE_NEXT();
   }
-  CASE(kMulhiu): {
-    st.write(rp->a, static_cast<u32>(
-                        (u64{st.read(rp->b)} * u64{st.read(rp->c)}) >> 32));
+  L_kDivu: {
+    st.pc = rp->pc;
+    st.write(rp->a,
+             int_divu(st.read(rp->b), st.read(rp->c), cx.env.trap_div_zero));
     RETIRE_NEXT();
   }
-  CASE(kMadd): {
-    st.write(rp->a, st.read(rp->a) + st.read(rp->b) * st.read(rp->c));
-    RETIRE_NEXT();
-  }
-  CASE(kMsub): {
-    st.write(rp->a, st.read(rp->a) - st.read(rp->b) * st.read(rp->c));
-    RETIRE_NEXT();
-  }
-  CASE(kDiv): {
-    const i32 a = static_cast<i32>(st.read(rp->b));
-    const i32 b = static_cast<i32>(st.read(rp->c));
-    u32 r;
-    if (b == 0) {
-      if (cx.env.trap_div_zero) {
-        st.pc = rp->pc;
-        raise_trap(TrapCause::kDivideByZero, "div with zero divisor");
-      }
-      r = 0;
-    } else if (a == std::numeric_limits<i32>::min() && b == -1) {
-      r = static_cast<u32>(a);
-    } else {
-      r = static_cast<u32>(a / b);
-    }
-    st.write(rp->a, r);
-    RETIRE_NEXT();
-  }
-  CASE(kDivu): {
-    const u32 ua = st.read(rp->b);
-    const u32 ub = st.read(rp->c);
-    if (ub == 0 && cx.env.trap_div_zero) {
-      st.pc = rp->pc;
-      raise_trap(TrapCause::kDivideByZero, "divu with zero divisor");
-    }
-    st.write(rp->a, ub == 0 ? 0 : ua / ub);
-    RETIRE_NEXT();
-  }
-  CASE(kLdb): {
+  L_kLdb: {
     const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
     u32 v;
     if (static_cast<i64>(ea) <= cx.lim1) [[likely]] {
@@ -1119,7 +785,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     st.write(rp->a, v);
     RETIRE_NEXT();
   }
-  CASE(kLdbu): {
+  L_kLdbu: {
     const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
     u32 v;
     if (static_cast<i64>(ea) <= cx.lim1) [[likely]] {
@@ -1131,7 +797,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     st.write(rp->a, v);
     RETIRE_NEXT();
   }
-  CASE(kLdh): {
+  L_kLdh: {
     const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
     u32 v;
     if ((ea & 1) == 0 && static_cast<i64>(ea) <= cx.lim2) [[likely]] {
@@ -1146,7 +812,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     st.write(rp->a, v);
     RETIRE_NEXT();
   }
-  CASE(kLdhu): {
+  L_kLdhu: {
     const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
     u32 v;
     if ((ea & 1) == 0 && static_cast<i64>(ea) <= cx.lim2) [[likely]] {
@@ -1160,7 +826,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     st.write(rp->a, v);
     RETIRE_NEXT();
   }
-  CASE(kLdw): {
+  L_kLdw: {
     const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
     u32 v;
     if ((ea & 3) == 0 && static_cast<i64>(ea) <= cx.lim4) [[likely]] {
@@ -1172,7 +838,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     st.write(rp->a, v);
     RETIRE_NEXT();
   }
-  CASE(kLdl): {
+  L_kLdl: {
     const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
     u64 v;
     if ((ea & 7) == 0 && static_cast<i64>(ea) <= cx.lim8) [[likely]] {
@@ -1185,7 +851,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     st.write(static_cast<PhysReg>(rp->a + 1), static_cast<u32>(v));
     RETIRE_NEXT();
   }
-  CASE(kLdg): {
+  L_kLdg: {
     const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
     if ((ea & 3) == 0 && static_cast<i64>(ea) <= cx.lim32) [[likely]] {
       for (u32 i = 0; i < 8; ++i) {
@@ -1205,7 +871,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     }
     RETIRE_NEXT();
   }
-  CASE(kStb): {
+  L_kStb: {
     const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
     if (static_cast<i64>(ea) <= cx.lim1) [[likely]] {
       cx.mbase[ea] = static_cast<u8>(st.read(rp->a));
@@ -1215,7 +881,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     }
     RETIRE_NEXT();
   }
-  CASE(kSth): {
+  L_kSth: {
     const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
     if ((ea & 1) == 0 && static_cast<i64>(ea) <= cx.lim2) [[likely]] {
       const u16 h = static_cast<u16>(st.read(rp->a));
@@ -1226,7 +892,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     }
     RETIRE_NEXT();
   }
-  CASE(kStw): {
+  L_kStw: {
     const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
     if ((ea & 3) == 0 && static_cast<i64>(ea) <= cx.lim4) [[likely]] {
       const u32 v = st.read(rp->a);
@@ -1237,7 +903,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     }
     RETIRE_NEXT();
   }
-  CASE(kStl): {
+  L_kStl: {
     const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
     const u64 v = (u64{st.read(rp->a)} << 32) |
                   st.read(static_cast<PhysReg>(rp->a + 1));
@@ -1249,7 +915,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     }
     RETIRE_NEXT();
   }
-  CASE(kStg): {
+  L_kStg: {
     const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
     if ((ea & 3) == 0 && static_cast<i64>(ea) <= cx.lim32) [[likely]] {
       for (u32 i = 0; i < 8; ++i) {
@@ -1265,13 +931,13 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     }
     RETIRE_NEXT();
   }
-  CASE(kStcw): {
+  L_kStcw: {
     st.pc = rp->pc;
     const Addr ea = static_cast<Addr>(st.read(rp->b));
     if (st.read(rp->c) != 0) cx.env.mem.write_u32(ea, st.read(rp->a));
     RETIRE_NEXT();
   }
-  CASE(kCas): {
+  L_kCas: {
     st.pc = rp->pc;
     const Addr ea = static_cast<Addr>(st.read(rp->b));
     const u32 old = cx.env.mem.read_u32(ea);
@@ -1279,7 +945,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     st.write(rp->a, old);
     RETIRE_NEXT();
   }
-  CASE(kSwap): {
+  L_kSwap: {
     st.pc = rp->pc;
     const Addr ea = static_cast<Addr>(st.read(rp->b));
     const u32 old = cx.env.mem.read_u32(ea);
@@ -1287,17 +953,17 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     st.write(rp->a, old);
     RETIRE_NEXT();
   }
-  CASE(kBnz): {
+  L_kBnz: {
     RETIRE_TRANSFER(st.read(rp->a) != 0);
   }
-  CASE(kBz): {
+  L_kBz: {
     RETIRE_TRANSFER(st.read(rp->a) == 0);
   }
-  CASE(kCallRec): {
+  L_kCallRec: {
     st.write(isa::to_phys(isa::kLinkReg, 0), rp[1].pc);
     RETIRE_TRANSFER(true);
   }
-  CASE(kJmplRec): {
+  L_kJmplRec: {
     const Addr target = static_cast<Addr>(st.read(rp->b));
     st.write(rp->a, rp[1].pc);  // link = fall-through (next record's pc)
     cx.res.packets += 1;
@@ -1309,7 +975,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     rp = recs + cx.tc.entry[cx.prog.index_of(st.pc)];  // throws on miss
     DISPATCH();
   }
-  CASE(kHaltRec): {
+  L_kHaltRec: {
     st.halted = true;
     st.pc = rp[1].pc;  // fall-through, as the interpreter leaves it
     cx.res.packets += 1;
@@ -1318,37 +984,37 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     cx.instrs_run += rp->ins_add;
     return;
   }
-  CASE(kTrapCon): {
+  L_kTrapCon: {
     if (cx.env.console != nullptr) {
       format_console_trap(*cx.env.console, static_cast<u32>(rp->imm),
                           st.read(rp->a));
     }
     RETIRE_NEXT();
   }
-  CASE(kSettvecRec): {
+  L_kSettvecRec: {
     st.tvec = static_cast<Addr>(st.read(rp->a));
     RETIRE_NEXT();
   }
-  CASE(kSlotOp): {
+  L_kSlotOp: {
     run_slot_op(cx, rp->arg);
     RETIRE_NEXT();
   }
-  CASE(kSlotOp2): {
+  L_kSlotOp2: {
     run_slot_op(cx, rp->arg);
     run_slot_op(cx, static_cast<u32>(rp->imm));
     RETIRE_NEXT();
   }
-  CASE(kDotp): {
+  L_kDotp: {
     st.write(rp->a, dotp_eval(st.read(rp->a), st.read(rp->b), st.read(rp->c)));
     RETIRE_NEXT();
   }
-  CASE(kDotp2): {
+  L_kDotp2: {
     st.write(rp->a, dotp_eval(st.read(rp->a), st.read(rp->b), st.read(rp->c)));
     const PhysReg r2 = static_cast<PhysReg>(rp->imm);
     st.write(rp->d, dotp_eval(st.read(rp->d), st.read(rp->e), st.read(r2)));
     RETIRE_NEXT();
   }
-  CASE(kDotp3): {
+  L_kDotp3: {
     const u32 t = static_cast<u32>(rp->imm2);
     st.write(rp->a, dotp_eval(st.read(rp->a), st.read(rp->b), st.read(rp->c)));
     st.write(rp->d, dotp_eval(st.read(rp->d), st.read(rp->e),
@@ -1359,12 +1025,12 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
                            st.read(static_cast<PhysReg>(t >> 24))));
     RETIRE_NEXT();
   }
-  CASE(kFmaddF32): {
+  L_kFmaddF32: {
     st.write(rp->a,
              fmadd_eval(st.read(rp->a), st.read(rp->b), st.read(rp->c)));
     RETIRE_NEXT();
   }
-  CASE(kFmadd2): {
+  L_kFmadd2: {
     st.write(rp->a,
              fmadd_eval(st.read(rp->a), st.read(rp->b), st.read(rp->c)));
     const PhysReg r2 = static_cast<PhysReg>(rp->imm);
@@ -1372,17 +1038,18 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
              fmadd_eval(st.read(rp->d), st.read(rp->e), st.read(r2)));
     RETIRE_NEXT();
   }
-  CASE(kAluAlu): {
+  L_kAluAlu: {
     // Parallel-read form (safe for hazardful pairs as well).
-    const u32 sels = static_cast<u32>(rp->imm2);
-    const u32 v1 = alu_eval(sels & 15, st.read(rp->b), st.read(rp->c));
-    const u32 v2 = alu_eval((sels >> 4) & 15, st.read(rp->e),
-                            st.read(static_cast<PhysReg>(rp->imm)));
+    const u32 v1 = int_eval(rp->arg & 0xFF, st.read(rp->b), st.read(rp->c),
+                            st.read(rp->a));
+    const u32 v2 = int_eval(rp->arg >> 8, st.read(rp->e),
+                            st.read(static_cast<PhysReg>(rp->imm)),
+                            st.read(rp->d));
     st.write(rp->a, v1);
     st.write(rp->d, v2);
     RETIRE_NEXT();
   }
-  CASE(kMemSlots): {
+  L_kMemSlots: {
     // Parallel-read packet with deferred commit: slot ops evaluate into
     // scratch effects against pre-packet state; the trap-capable memory op
     // runs (and commits) first; only then do the slot effects land.
@@ -1393,87 +1060,25 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     for (const WriteBack& wb : fx.writes) st.write(wb.reg, wb.value);
     RETIRE_NEXT();
   }
-  CASE(kIaluIalu): {
+  L_kIaluIalu: {
     // Parallel-read form: both sources read before either write commits.
-    const u32 v1 = ialu_eval(rp->e & 15, st.read(rp->b), rp->imm);
-    const u32 v2 = ialu_eval(rp->e >> 4, st.read(rp->d), rp->imm2);
+    const u32 v1 = int_eval(rp->arg & 0xFF, st.read(rp->b),
+                            static_cast<u32>(rp->imm), st.read(rp->a));
+    const u32 v2 = int_eval(rp->arg >> 8, st.read(rp->d),
+                            static_cast<u32>(rp->imm2), st.read(rp->c));
     st.write(rp->a, v1);
     st.write(rp->c, v2);
     RETIRE_NEXT();
   }
-  CASE(kLdwAddi): {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    u32 v;
-    if ((ea & 3) == 0 && static_cast<i64>(ea) <= cx.lim4) [[likely]] {
-      std::memcpy(&v, cx.mbase + ea, 4);
-    } else {
-      st.pc = rp->pc;
-      v = cx.env.mem.read_u32(ea);
-    }
-    const u32 v2 = st.read(rp->e) + static_cast<u32>(rp->imm2);
-    st.write(rp->a, v);
-    st.write(rp->d, v2);
+  L_kNopRec: {
     RETIRE_NEXT();
   }
-  CASE(kStwAddi): {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    if ((ea & 3) == 0 && static_cast<i64>(ea) <= cx.lim4) [[likely]] {
-      const u32 v = st.read(rp->a);
-      std::memcpy(cx.mbase + ea, &v, 4);
-    } else {
-      st.pc = rp->pc;
-      cx.env.mem.write_u32(ea, st.read(rp->a));
-    }
-    st.write(rp->d, st.read(rp->e) + static_cast<u32>(rp->imm2));
-    RETIRE_NEXT();
-  }
-  CASE(kAddiBnz): {
-    if (cx.res.packets + 2 > cx.max_packets) {
-      ++rp;  // cap too close to retire both: run the unfused lowering
-      DISPATCH();
-    }
-    const u32 v = st.read(rp->b) + static_cast<u32>(rp->imm);
-    st.write(rp->a, v);
-    cx.res.packets += 2;
-    cx.packets_run += 2;
-    cx.res.instrs += rp->ins_add;
-    cx.instrs_run += rp->ins_add;
-    const Rec* nx = recs + (v != 0 ? rp->arg : static_cast<u32>(rp->imm2));
-    if (cx.res.packets >= cx.max_packets) {
-      st.pc = nx->pc;
-      return;
-    }
-    rp = nx;
-    DISPATCH();
-  }
-  CASE(kAddiBz): {
-    if (cx.res.packets + 2 > cx.max_packets) {
-      ++rp;
-      DISPATCH();
-    }
-    const u32 v = st.read(rp->b) + static_cast<u32>(rp->imm);
-    st.write(rp->a, v);
-    cx.res.packets += 2;
-    cx.packets_run += 2;
-    cx.res.instrs += rp->ins_add;
-    cx.instrs_run += rp->ins_add;
-    const Rec* nx = recs + (v == 0 ? rp->arg : static_cast<u32>(rp->imm2));
-    if (cx.res.packets >= cx.max_packets) {
-      st.pc = nx->pc;
-      return;
-    }
-    rp = nx;
-    DISPATCH();
-  }
-  CASE(kNopRec): {
-    RETIRE_NEXT();
-  }
-  CASE(kGenericPacket): {
+  L_kGenericPacket: {
     const u32 pi = static_cast<u32>(rp->imm);
     const isa::Packet& p = cx.prog.packet(pi);
     const PacketMeta& m = cx.prog.meta(pi);
     st.pc = rp->pc;
-    const PacketOutcome out = execute_packet(st, p, m.fall_through, cx.env);
+    const PacketOutcome out = execute_packet(st, p, m, cx.env, cx.scratch);
     cx.res.packets += 1;
     cx.packets_run += 1;
     cx.res.instrs += out.width;
@@ -1493,22 +1098,15 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     rp = recs + cx.tc.entry[cx.prog.index_of(st.pc)];  // throws on miss
     DISPATCH();
   }
-  CASE(kEndOfCode): {
+  L_kEndOfCode: {
     // Fell off the end of the image: same diagnosis as the interpreter's
     // next-packet fetch.
     st.pc = rp->pc;
     cx.prog.index_of(st.pc);  // always throws (translated once, immutable)
     return;                   // unreachable
   }
-
-#if !MAJC_COMPUTED_GOTO
-    default: return;  // unreachable: translate emits only known kinds
-    }
-  }
-#endif
 }
 
-#undef CASE
 #undef DISPATCH
 #undef RETIRE_NEXT
 #undef RETIRE_TRANSFER
@@ -1524,10 +1122,11 @@ RunResult FunctionalSim::run_threaded(u64 max_packets) {
   env.tick = &packets_run_;
   const std::span<u8> raw = mem_.raw();
   const i64 size = static_cast<i64>(raw.size());
-  ExecCtx cx{*program_,    tc,          state_,   env,
-             res,          packets_run_, instrs_run_, max_packets,
-             raw.data(),   size - 1,    size - 2, size - 4,
-             size - 8,     size - 32};
+  PacketScratch scratch;
+  ExecCtx cx{*program_,  tc,           state_,      env,
+             res,        packets_run_, instrs_run_, max_packets,
+             raw.data(), size - 1,     size - 2,    size - 4,
+             size - 8,   size - 32,    scratch};
   while (!state_.halted && res.packets < max_packets) {
     try {
       exec_records(cx, tc.entry[program_->index_of(state_.pc)]);

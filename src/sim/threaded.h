@@ -6,8 +6,8 @@
 // target, so instead of re-interpreting packets through the generic
 // execute_packet switch, a one-time translation pass lowers each packet into
 // a short run of fixed-size dispatch records ("threaded code"). A
-// computed-goto inner loop (labels-as-values on GCC/Clang, plain switch
-// elsewhere) then executes records back-to-back with no per-packet virtual
+// computed-goto inner loop (GCC/Clang labels-as-values, which the build
+// requires) then executes records back-to-back with no per-packet virtual
 // dispatch, meta lookup, or SlotEffects marshalling.
 //
 // Translation is purely host-side: guest-visible state (registers, memory,
@@ -17,19 +17,25 @@
 // boundaries.
 //
 // Lowering rules (DESIGN.md §13):
+//  * Op semantics are not restated here: every integer ALU/multiply record
+//    is stamped from the MAJC_INT_OPS table in exec.h, divide, dotp and
+//    fmadd call exec.h's shared definitions, and the remaining SIMD/FP ops
+//    run through the interpreter's per-class executors.
 //  * A packet's slots execute with parallel-read semantics; the translator
 //    lowers them to sequential records only when the execution order can be
 //    proven equivalent (no earlier-executed slot's destinations intersect a
-//    later slot's sources or destinations). Otherwise the packet becomes a
-//    single kGenericPacket record that calls execute_packet verbatim.
+//    later slot's sources or destinations). Otherwise a 2-wide
+//    immediate-ALU packet becomes one parallel-read kIaluIalu record, a
+//    memory op beside SIMD/FP slots becomes one deferred-commit kMemSlots
+//    record, and anything else a single kGenericPacket record that calls
+//    execute_packet verbatim.
 //  * Trap-capable slot-0 ops (memory, div) execute first, so a trapping
 //    packet commits nothing — the interpreter's precise-trap contract.
 //    Control transfers execute last, after the other slots committed.
-//  * Macro-op fusion collapses the shapes the Table 1/2 kernels actually
-//    emit: immediate-ALU pairs, load/store + pointer-increment, SIMD/FP slot
-//    pairs, and the cross-packet add-immediate + conditional-branch loop
-//    idiom (the unfused lowering stays in place as the packet-cap-safe
-//    fallback and as the branch-target entry).
+//  * Fusion stays inside one packet and covers the shapes the Table 1/2
+//    kernels run hot: integer ALU pairs (kAluAlu, kIaluIalu), dotp pairs and
+//    triples (kDotp2, kDotp3), fmadd pairs (kFmadd2) and SIMD/FP slot-op
+//    pairs (kSlotOp2). Every record retires at most one packet.
 #pragma once
 
 #include <cstddef>
@@ -49,13 +55,12 @@ class Program;
 inline constexpr u32 kNoRec = ~u32{0};
 
 /// Static translation statistics: what the 16 kernels' packets look like and
-/// which fusion rules fired (satellite: --shape-stats).
+/// which fusion rules fired (majc_run --shape-stats).
 struct ShapeStats {
   u64 packets = 0;          // packets translated
   u64 records = 0;          // dispatch records emitted
   u64 generic_packets = 0;  // packets lowered to kGenericPacket
   u64 fused_pairs = 0;      // intra-packet pair fusions
-  u64 fused_cross = 0;      // cross-packet addi+branch fusions
   /// Packet shape (slot mnemonics joined with '+') -> static occurrence
   /// count. std::map keeps the output deterministic.
   std::map<std::string, u64> shapes;
@@ -72,7 +77,7 @@ struct ThreadedCode {
   /// One dispatch record. 24 bytes, meaning depends on `kind`; `pc` is the
   /// owning packet's address (trap context / cap-exit pc), `pk_add` /
   /// `ins_add` are the retire increments carried by the last record of each
-  /// packet (0 on interior records; 2 on cross-packet fused records).
+  /// packet (1 and the packet's width; 0 on interior records).
   struct Rec {
     u8 kind = 0;
     u8 a = 0, b = 0, c = 0, d = 0, e = 0;  // physical registers / selectors

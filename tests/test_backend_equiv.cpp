@@ -263,9 +263,8 @@ TEST(BackendEquiv, SeededFarmSweepMatchesAcrossBackends) {
 
 // --------------------------------- checkpoints across the backend seam
 
-// A tight store loop whose back edge is the translator's favourite fusion
-// target (addi feeding bnz in consecutive packets), so a mid-run packet
-// cap lands inside a fused superblock region.
+// A tight store loop (a fused addi pair, an addi-fed back edge), so the
+// mid-run packet caps below stop the run inside the loop.
 constexpr const char* kFuseLoopProg = R"(
     .data
   buf: .space 1024
