@@ -14,10 +14,13 @@
 //    watchdog by storing) is converted into a structured deadline-exceeded
 //    result by the JobPolicy host deadline;
 //  * repeated Engine::run calls, with retries and chaos enabled, stay
-//    byte-identical across calls and worker counts.
+//    byte-identical across calls and worker counts — on the small campaign
+//    and on every Table 1/2 kernel in both sim modes under guest faults.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/farm/campaign.h"
@@ -26,6 +29,7 @@
 #include "src/kernels/fir.h"
 #include "src/kernels/kernel.h"
 #include "src/kernels/max_search.h"
+#include "src/kernels/table12.h"
 
 namespace majc {
 namespace {
@@ -371,32 +375,76 @@ TEST(Resilience, BackoffIsDeterministicBoundedAndSeedAdvancing) {
 
 // ----------------------------------- repeated runs, chaos, and worker counts
 
-TEST(Resilience, RepeatedRunsWithRetriesAndChaosStayByteIdentical) {
-  farm::JobPolicy policy;
-  policy.slice_packets = 300;
-  policy.max_attempts = 3;
-  const farm::Engine eng = make_campaign(policy);
+/// Every Table 1/2 kernel, both sim modes, one guest-fault iteration, in
+/// submit_matrix order: the campaign `majc_farm --mode=both --seeds=1`
+/// runs at `seed`.
+farm::Engine make_table12_campaign(u64 seed, const farm::JobPolicy& policy) {
+  farm::Engine eng;
+  for (const kernels::NamedKernel& nk : kernels::table12_kernels()) {
+    eng.add_kernel(kernels::table12_spec(nk));
+  }
+  farm::MatrixSpec m;
+  m.iterations = {0};
+  m.base_seed = seed;
+  m.mode_functional = true;
+  m.policy = policy;
+  farm::submit_matrix(eng, m);
+  return eng;
+}
 
-  const std::string baseline = farm::campaign_json(eng, eng.run(1), kSeed);
-
-  farm::ChaosPlan chaos;
-  chaos.seed = 0xc4a05;
-  chaos.exception_rate = 0.5;
-  chaos.deadline_kill_rate = 0.3;
-  chaos.preempt_rate = 0.4;
-
-  u64 disturbed = 0;
-  for (const unsigned workers : {1u, 4u, 1u, 3u}) {
+/// Storm `eng` with `chaos` once per entry of `workers`: each stormed
+/// campaign JSON must equal the undisturbed -j1 baseline, and each storm
+/// must actually strike (more attempts than jobs), or the equality proves
+/// nothing.
+void expect_storms_invisible(const farm::Engine& eng, u64 seed,
+                             const farm::ChaosPlan& chaos,
+                             std::initializer_list<unsigned> workers) {
+  const std::string baseline = farm::campaign_json(eng, eng.run(1), seed);
+  for (const unsigned w : workers) {
     farm::CampaignStats stats;
     farm::Engine::RunOptions opts;
-    opts.workers = workers;
+    opts.workers = w;
     opts.stats = &stats;
     opts.chaos = &chaos;
-    EXPECT_EQ(farm::campaign_json(eng, eng.run(opts), kSeed), baseline)
-        << "workers=" << workers;
-    disturbed += stats.jobs_retried + stats.forced_preemptions;
+    EXPECT_EQ(farm::campaign_json(eng, eng.run(opts), seed), baseline)
+        << "workers=" << w;
+    EXPECT_GT(stats.total_attempts, eng.jobs().size()) << "workers=" << w;
   }
-  EXPECT_GT(disturbed, 0u);  // the storm actually struck
+}
+
+TEST(Resilience, RepeatedRunsWithRetriesAndChaosStayByteIdentical) {
+  {
+    SCOPED_TRACE("small campaign");
+    farm::JobPolicy policy;
+    policy.slice_packets = 300;
+    policy.max_attempts = 3;
+    farm::ChaosPlan chaos;
+    chaos.seed = 0xc4a05;
+    chaos.exception_rate = 0.5;
+    chaos.deadline_kill_rate = 0.3;
+    chaos.preempt_rate = 0.4;
+    expect_storms_invisible(make_campaign(policy), kSeed, chaos,
+                            {1u, 4u, 1u, 3u});
+  }
+  {
+    // Sliced and retryable so the storm has slice boundaries to strike at
+    // and a retry budget to absorb the hits.
+    SCOPED_TRACE("table12 campaign");
+    constexpr u64 kFaultSeed = 0x5eed50a4;
+    farm::ChaosPlan chaos;
+    chaos.seed = 0xc4a05;
+    chaos.exception_rate = 0.4;
+    chaos.deadline_kill_rate = 0.25;
+    chaos.preempt_rate = 0.35;
+    chaos.max_preemptions_per_job = 2;
+    farm::JobPolicy policy;
+    policy.slice_packets = 4096;
+    policy.max_attempts = 3;
+    policy.backoff_base_us = 50;  // exercise the deterministic backoff path
+    policy.backoff_seed = chaos.seed;
+    expect_storms_invisible(make_table12_campaign(kFaultSeed, policy),
+                            kFaultSeed, chaos, {4u});
+  }
 }
 
 } // namespace
