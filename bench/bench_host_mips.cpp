@@ -22,21 +22,13 @@
 
 #include "src/cpu/cycle_cpu.h"
 #include "src/farm/farm.h"
-#include "src/kernels/biquad.h"
-#include "src/kernels/bitrev.h"
-#include "src/kernels/cfir.h"
 #include "src/kernels/color_convert.h"
 #include "src/kernels/convolve.h"
-#include "src/kernels/dct_quant.h"
-#include "src/kernels/fft.h"
 #include "src/kernels/fir.h"
 #include "src/kernels/idct.h"
 #include "src/kernels/kernel.h"
-#include "src/kernels/lms.h"
-#include "src/kernels/max_search.h"
 #include "src/kernels/mb_decode.h"
-#include "src/kernels/motion_est.h"
-#include "src/kernels/vld.h"
+#include "src/kernels/table12.h"
 #include "src/masm/assembler.h"
 #include "src/sim/functional_sim.h"
 #include "src/soc/chip.h"
@@ -181,24 +173,10 @@ Sample run_chip(const masm::Image& img) {
 /// caller and kept off the clock, mirroring how sim construction is excluded
 /// above; the engine's own wall measurement is the sample time.
 farm::Engine make_farm_soak16() {
-  using namespace kernels;
   farm::Engine eng;
-  eng.add_kernel(make_biquad_spec());
-  eng.add_kernel(make_fir_spec());
-  eng.add_kernel(make_iir_spec());
-  eng.add_kernel(make_cfir_spec());
-  eng.add_kernel(make_lms_spec());
-  eng.add_kernel(make_max_search_spec());
-  eng.add_kernel(make_bitrev_spec());
-  eng.add_kernel(make_fft_radix2_spec());
-  eng.add_kernel(make_fft_radix4_spec());
-  eng.add_kernel(make_idct_spec());
-  eng.add_kernel(make_dct_quant_spec());
-  eng.add_kernel(make_vld_spec());
-  eng.add_kernel(make_motion_est_spec());
-  eng.add_kernel(make_mb_decode_spec());
-  eng.add_kernel(make_convolve_spec());
-  eng.add_kernel(make_color_convert_spec());
+  for (const kernels::NamedKernel& nk : kernels::table12_kernels()) {
+    eng.add_kernel(kernels::table12_spec(nk));
+  }
   for (u32 ki = 0; ki < eng.num_kernels(); ++ki) {
     farm::Job job;
     job.kernel = ki;

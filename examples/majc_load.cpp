@@ -8,8 +8,8 @@
 //   $ ./majcd --socket=/tmp/majcd.sock &
 //   $ ./majc_load --socket=/tmp/majcd.sock --connections=4 --requests=8
 //   $ ./majc_load --socket=/tmp/majcd.sock --campaign-out=served.json
-//   $ ./majc_farm -j1 --kernels=fir,bitrev --seeds=1 --mode=functional \
-//         --json=cli.json && cmp served.json cli.json
+//   $ ./majc_farm -j1 --kernels=fir,bitrev --seeds=1 --mode=functional --json=cli.json
+//   $ cmp served.json cli.json
 //
 // Every request in a run is identical, so every campaign payload the
 // daemon streams back must be byte-identical — the tool asserts this

@@ -377,20 +377,6 @@ void submit_matrix(Engine& eng, const MatrixSpec& m) {
   }
 }
 
-kernels::KernelRun WorkerMachines::run(const kernels::CompiledKernel& k,
-                                       const Job& job) {
-  if (job.mode == SimMode::kFunctional) {
-    sim::FunctionalSim& m = acquire_functional(k.program);
-    m.set_backend(job.backend);
-    return kernels::run_kernel_on(m, k.spec);
-  }
-  if (!cycle_) {
-    cycle_.emplace(k.program, job.cfg);
-    return kernels::run_kernel_on(*cycle_, k.spec);
-  }
-  return kernels::run_compiled(k, job.cfg, *cycle_);
-}
-
 cpu::CycleSim& WorkerMachines::acquire_cycle(const sim::ProgramRef& program,
                                              const TimingConfig& cfg) {
   if (!cycle_) {

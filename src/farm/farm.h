@@ -25,8 +25,8 @@
 // into a structured taxonomy carried in the majc-farm-v1 JSON, quarantine
 // of jobs that fail identically across retries, checkpoint-based
 // preemption (RunControl drain token; PR 5 checkpoint format), and a
-// seeded host-chaos plan used by bench/chaos_soak.cpp to prove none of it
-// perturbs results.
+// seeded host-chaos plan that tests/test_resilience.cpp uses to prove none
+// of it perturbs results.
 //
 // Determinism rules a job must obey (audited in DESIGN.md §11): a running
 // machine touches only its own arena plus shared *immutable* state (the
@@ -183,13 +183,13 @@ struct CampaignStats {
   u64 jobs_suspended = 0;  // drained mid-flight (resumable via RunControl)
 };
 
-/// Seeded host-chaos injection plan: the soak harness's storm against the
-/// *engine* rather than the guest. Decisions are pure functions of
-/// (seed, job index, attempt, slice), never of worker identity or wall
-/// clock, so a chaotic campaign retried to completion aggregates
-/// byte-identically to an undisturbed one (bench/chaos_soak.cpp asserts
-/// this). Exceptions and deadline kills only fire on attempt 1 — the
-/// bounded retry then completes the job clean.
+/// Seeded host-chaos injection plan: a storm against the *engine* rather
+/// than the guest. Decisions are pure functions of (seed, job index,
+/// attempt, slice), never of worker identity or wall clock, so a chaotic
+/// campaign retried to completion aggregates byte-identically to an
+/// undisturbed one (tests/test_resilience.cpp asserts this on every
+/// Table 1/2 kernel in both sim modes). Exceptions and deadline kills only
+/// fire on attempt 1 — the bounded retry then completes the job clean.
 struct ChaosPlan {
   u64 seed = 0;
   double exception_rate = 0.0;     // P(throw at attempt-1 start)
@@ -263,11 +263,9 @@ private:
 
 /// Per-worker reusable machines: one cycle arena and one functional arena,
 /// constructed on first use and reset in place for every subsequent job.
-/// Also usable standalone (the soak harness's serial path and tests).
+/// Also usable standalone (tests, campaign_bench's probes).
 class WorkerMachines {
 public:
-  kernels::KernelRun run(const kernels::CompiledKernel& k, const Job& job);
-
   /// Machine handout for the resilient executor: ensure the machine exists
   /// and is freshly reset to (program, cfg) — i.e. indistinguishable from a
   /// newly constructed one.
@@ -325,9 +323,11 @@ private:
   std::vector<Job> jobs_;
 };
 
-/// The fault-soak derivation (SplitMix64-mixed, randomized-but-bounded
-/// rates; see bench/soak_faults.cpp): shared by the soak harness and
-/// majc_farm so both storm identical fault streams for a given base seed.
+/// The fault-soak derivation: SplitMix64-mixed, randomized-but-bounded
+/// DRAM ECC, fill-parity and crossbar rates, alternating the retry and
+/// poison machine-check policies by iteration. A pure function of its
+/// arguments, so majc_farm and majcd storm identical fault streams for a
+/// given base seed.
 FaultConfig derive_soak_faults(u64 base_seed, u64 kernel_idx, u64 iteration);
 
 /// Declarative description of a campaign matrix over an engine's registered

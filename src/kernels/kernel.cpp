@@ -121,18 +121,6 @@ CompiledKernel compile_kernel(KernelSpec spec) {
   return k;
 }
 
-KernelRun run_compiled(const CompiledKernel& k, const TimingConfig& cfg,
-                       cpu::CycleSim& machine) {
-  machine.reset(k.program, cfg);
-  return run_kernel_on(machine, k.spec);
-}
-
-KernelRun run_compiled_functional(const CompiledKernel& k,
-                                  sim::FunctionalSim& machine) {
-  machine.reset(k.program);
-  return run_kernel_on(machine, k.spec);
-}
-
 std::string load_addr(u32 greg, const std::string& sym) {
   const std::string r = "g" + std::to_string(greg);
   return "sethi " + r + ", %hi(" + sym + ")\norlo " + r + ", %lo(" + sym +

@@ -44,8 +44,8 @@ struct KernelRun {
   /// that agree here computed the same architectural outcome.
   u64 arch_digest = 0;
   /// RAS events absorbed during the run without ending it (plus the machine
-  /// checks that did). Filled by the cycle-accurate path; the fault-soak
-  /// harness asserts recovered runs still validate against the golden model.
+  /// checks that did). Filled by the cycle-accurate path; majc_farm's fault
+  /// campaigns assert recovered runs still validate against the golden model.
   struct Recovery {
     u64 ecc_corrected = 0;
     u64 ecc_retried = 0;          // uncorrectable reads retried (kRetry)
@@ -77,21 +77,10 @@ struct CompiledKernel {
 /// Assemble + predecode `spec` once for repeated / concurrent running.
 CompiledKernel compile_kernel(KernelSpec spec);
 
-/// Run a compiled kernel on a reusable machine: the machine is reset in
-/// place (arena reuse) instead of constructing a fresh simulator, and the
-/// result is bit-identical to run_kernel(spec, cfg) on a fresh machine.
-KernelRun run_compiled(const CompiledKernel& k, const TimingConfig& cfg,
-                       cpu::CycleSim& machine);
-
-/// Functional-mode counterpart of run_compiled (timing-free, like
-/// run_kernel_functional).
-KernelRun run_compiled_functional(const CompiledKernel& k,
-                                  sim::FunctionalSim& machine);
-
 /// Drive an already-initialized machine (freshly constructed or just reset
 /// to the kernel's program) through one run. The building block behind
-/// run_kernel / run_compiled; exposed for harnesses that manage machine
-/// lifetime themselves.
+/// run_kernel / run_kernel_functional; exposed for harnesses that manage
+/// machine lifetime themselves (the farm's per-worker arenas).
 KernelRun run_kernel_on(cpu::CycleSim& machine, const KernelSpec& spec);
 KernelRun run_kernel_on(sim::FunctionalSim& machine, const KernelSpec& spec);
 

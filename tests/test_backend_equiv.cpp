@@ -222,7 +222,7 @@ TEST(BackendEquiv, GuestTrapHandlerRecoveryMatches) {
 
 // ------------------------------------- seeded fault-config job matrix
 
-// The soak harness's seeded job matrix (every kernel, derive_soak_faults
+// majc_farm's seeded fault job matrix (every kernel, derive_soak_faults
 // per iteration) through the farm on each backend: per-job architectural
 // outcomes must pair up exactly. This also pins the farm's backend
 // plumbing — Job.backend reaches the worker machines.
