@@ -14,7 +14,7 @@
 //                               threaded-code translation backend (default:
 //                               threaded; guest-visible state is identical)
 //   --shape-stats               print the translator's packet-shape
-//                               histogram and fusion counters, then run
+//                               histogram and generic-packet count, then run
 //
 // Observability (cycle and chip modes):
 //   --trace-out=FILE   write a Chrome trace-event JSON timeline (load the

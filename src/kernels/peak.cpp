@@ -36,9 +36,8 @@ PeakSpec make_burst(bool fp, u32 iterations) {
   const char* compute = fp ? "fmadd " : "pmaddh ";
   const char* iter_op = fp ? "frsqrt g30, g31" : "pdiv213 g30, g31, g31";
   for (u32 p = 0; p < 24; ++p) {
-    std::string fu0 = "nop";
-    if (p % 6 == 0) fu0 = iter_op;
-    if (p == 1) fu0 = "addi g7, g7, -1";
+    const char* fu0 =
+        p == 1 ? "addi g7, g7, -1" : p % 6 == 0 ? iter_op : "nop";
     std::string s[3];
     for (u32 f = 0; f < 3; ++f) {
       s[f] = std::string(compute) + l(p % 4) + ", g8, g9";

@@ -103,7 +103,12 @@ public:
   explicit AsmContext(std::vector<Diagnostic>& diags) : diags_(diags) {}
 
   void error(const std::string& msg) {
-    diags_.push_back({line_, msg});
+    // Append first, then assign: moving a freshly built Diagnostic lets
+    // GCC 12 + LTO flag the moved string's unreachable short-string copy
+    // (-Wstringop-overread) at every call site with a literal message.
+    Diagnostic& d = diags_.emplace_back();
+    d.line = line_;
+    d.message = msg;
     failed_ = true;
   }
 

@@ -40,11 +40,9 @@ using isa::PhysReg;
   X(kBnz) X(kBz) X(kCallRec) X(kJmplRec) X(kHaltRec)                          \
   X(kTrapCon) X(kSettvecRec)                                                  \
   /* SIMD / FP through the per-class executors: arg = slot_ops index */      \
-  X(kSlotOp) X(kSlotOp2)                                                      \
+  X(kSlotOp)                                                                  \
   /* direct SIMD / FP specializations for the Table 1/2 hot ops */            \
-  X(kDotp) X(kDotp2) X(kDotp3) X(kFmaddF32) X(kFmadd2)                        \
-  /* parallel-read integer pairs: arg = the two integer kinds */              \
-  X(kIaluIalu) X(kAluAlu)                                                     \
+  X(kDotp) X(kFmaddF32)                                                       \
   /* deferred-commit parallel packet: optional mem slot 0 + slot-op slots */  \
   X(kMemSlots)                                                                \
   /* fallbacks / sentinels */                                                 \
@@ -60,7 +58,6 @@ enum Kind : u8 {
       kNumKinds
 };
 static_assert(kNumKinds <= 256);
-static_assert(kAdd == 0, "integer kinds come first (int_name indexes them)");
 
 using Rec = ThreadedCode::Rec;
 using SlotOp = ThreadedCode::SlotOp;
@@ -81,21 +78,6 @@ int int_kind(Op op) {
       return -1;
   }
 }
-
-/// Mnemonic of an integer record kind (names fused pairs in ShapeStats).
-std::string int_name(u32 kind) {
-  static constexpr Op kOps[] = {
-#define MAJC_INT_OP(name, src, result) Op::k##name,
-      MAJC_INT_OPS(MAJC_INT_OP)
-#undef MAJC_INT_OP
-  };
-  return std::string(isa::op_info(kOps[kind]).mnemonic);
-}
-
-/// Pair-record operand shapes: kAluAlu pairs register-register kinds
-/// Add..Cmpleu, kIaluIalu pairs register-immediate kinds Addi..Srai.
-constexpr bool is_alu_kind(int kind) { return kind >= kAdd && kind <= kCmpleu; }
-constexpr bool is_ialu_kind(int kind) { return kind >= kAddi && kind <= kSrai; }
 
 /// Does slot 0 of this packet redirect control flow? Such packets execute
 /// slots 1..w-1 first and the transfer last (the transfer decides the next
@@ -273,113 +255,30 @@ bool lower_slot(const Instr& in, u32 fu, const PacketMeta& m,
   }
 }
 
-/// Fuse adjacent records of one packet (the list is in execution order and
-/// already proven sequential-equivalent, so combining two neighbours into
-/// one record preserves semantics). Returns true and writes `f` on a match.
-bool fuse_pair(const Rec& x, const Rec& y, const std::vector<SlotOp>& slot_ops,
-               ShapeStats& stats, Rec& f) {
-  if (is_ialu_kind(x.kind) && is_ialu_kind(y.kind)) {
-    f = Rec{};
-    f.kind = kIaluIalu;
-    f.a = x.a;
-    f.b = x.b;
-    f.imm = x.imm;
-    f.c = y.a;
-    f.d = y.b;
-    f.imm2 = y.imm;
-    f.arg = static_cast<u32>((y.kind << 8) | x.kind);
-    ++stats.fused[int_name(x.kind) + "+" + int_name(y.kind)];
-    return true;
-  }
-  if (is_alu_kind(x.kind) && is_alu_kind(y.kind)) {
-    f = Rec{};
-    f.kind = kAluAlu;
-    f.a = x.a;
-    f.b = x.b;
-    f.c = x.c;
-    f.d = y.a;
-    f.e = y.b;
-    f.imm = y.c;
-    f.arg = static_cast<u32>((y.kind << 8) | x.kind);
-    ++stats.fused[int_name(x.kind) + "+" + int_name(y.kind)];
-    return true;
-  }
-  if (x.kind == kDotp && y.kind == kDotp) {
-    f = Rec{};
-    f.kind = kDotp2;
-    f.a = x.a;
-    f.b = x.b;
-    f.c = x.c;
-    f.d = y.a;
-    f.e = y.b;
-    f.imm = y.c;
-    ++stats.fused["dotp+dotp"];
-    return true;
-  }
-  if (x.kind == kDotp2 && y.kind == kDotp) {
-    // Chained by the peephole's re-check after each fusion.
-    f = x;
-    f.kind = kDotp3;
-    f.imm2 = static_cast<i32>(static_cast<u32>(x.imm & 0xFF) |
-                              (u32{y.a} << 8) | (u32{y.b} << 16) |
-                              (u32{y.c} << 24));
-    ++stats.fused["dotp+dotp+dotp"];
-    return true;
-  }
-  if (x.kind == kFmaddF32 && y.kind == kFmaddF32) {
-    f = Rec{};
-    f.kind = kFmadd2;
-    f.a = x.a;
-    f.b = x.b;
-    f.c = x.c;
-    f.d = y.a;
-    f.e = y.b;
-    f.imm = y.c;
-    ++stats.fused["fmadd+fmadd"];
-    return true;
-  }
-  if (x.kind == kSlotOp && y.kind == kSlotOp) {
-    f = Rec{};
-    f.kind = kSlotOp2;
-    f.arg = x.arg;
-    f.imm = static_cast<i32>(y.arg);
-    ++stats.fused[std::string(slot_ops[x.arg].in.info().mnemonic) + "+" +
-                  std::string(slot_ops[y.arg].in.info().mnemonic)];
-    return true;
-  }
-  return false;
-}
-
 } // namespace
 
 std::string format_shape_stats(const ShapeStats& s, std::size_t top_n) {
   std::string out;
   char buf[160];
   std::snprintf(buf, sizeof buf,
-                "packets %llu  records %llu  generic %llu  fused-pairs %llu\n",
+                "packets %llu  records %llu  generic %llu\n",
                 static_cast<unsigned long long>(s.packets),
                 static_cast<unsigned long long>(s.records),
-                static_cast<unsigned long long>(s.generic_packets),
-                static_cast<unsigned long long>(s.fused_pairs));
+                static_cast<unsigned long long>(s.generic_packets));
   out += buf;
-  auto dump = [&](const char* title, const std::map<std::string, u64>& m,
-                  std::size_t limit) {
-    std::vector<std::pair<std::string, u64>> rows(m.begin(), m.end());
-    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
-    out += title;
-    out += ":\n";
-    if (rows.empty()) out += "  (none)\n";
-    for (std::size_t i = 0; i < rows.size() && i < limit; ++i) {
-      std::snprintf(buf, sizeof buf, "  %-32s %llu\n", rows[i].first.c_str(),
-                    static_cast<unsigned long long>(rows[i].second));
-      out += buf;
-    }
-  };
-  dump("top packet shapes", s.shapes, top_n);
-  dump("fused shapes", s.fused, s.fused.size());
+  std::vector<std::pair<std::string, u64>> rows(s.shapes.begin(),
+                                                s.shapes.end());
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  out += "top packet shapes:\n";
+  if (rows.empty()) out += "  (none)\n";
+  for (std::size_t i = 0; i < rows.size() && i < top_n; ++i) {
+    std::snprintf(buf, sizeof buf, "  %-32s %llu\n", rows[i].first.c_str(),
+                  static_cast<unsigned long long>(rows[i].second));
+    out += buf;
+  }
   return out;
 }
 
@@ -432,12 +331,6 @@ ThreadedCode translate(const Program& prog) {
     }
     if (!ok) {
       out.clear();
-      // A 2-wide immediate-ALU packet with an intra-packet hazard still
-      // runs as one kIaluIalu record, which reads both sources before
-      // writing either destination (parallel-read semantics).
-      const bool ialu_pair = p.width == 2 &&
-                             is_ialu_kind(int_kind(p.slot[0].op)) &&
-                             is_ialu_kind(int_kind(p.slot[1].op));
       // Deferred-commit parallel packet: slot 0 is a unified-addressing
       // memory op (or contributes nothing), every other slot runs through a
       // per-class executor. The slot ops evaluate into scratch effects that
@@ -468,15 +361,7 @@ ThreadedCode translate(const Program& prog) {
         }
         mem_slots_ok = mem_slots_ok && n_slot_ops > 0;
       }
-      if (ialu_pair) {
-        lower_slot(p.slot[0], 0, m, out, tc.slot_ops);
-        lower_slot(p.slot[1], 1, m, out, tc.slot_ops);
-        Rec f;
-        fuse_pair(out[0], out[1], tc.slot_ops, tc.stats, f);
-        f.pc = out[0].pc;
-        out.assign(1, f);
-        ++tc.stats.fused_pairs;
-      } else if (mem_slots_ok) {
+      if (mem_slots_ok) {
         // The memory op's own record supplies the a/b/c/imm addressing.
         Rec f;
         if (mk != 0xFF && lower_slot(p.slot[0], 0, m, out, tc.slot_ops)) {
@@ -501,21 +386,6 @@ ThreadedCode translate(const Program& prog) {
         r.arg = m.taken_index;  // packet index; patched below
         out.push_back(r);
         ++tc.stats.generic_packets;
-      }
-    }
-
-    // Intra-packet peephole fusion over adjacent records. A successful
-    // fusion re-checks the same position so pairs chain into triples
-    // (dotp+dotp+dotp is the DCT kernels' signature shape).
-    for (std::size_t j = 0; j + 1 < out.size();) {
-      Rec f;
-      if (fuse_pair(out[j], out[j + 1], tc.slot_ops, tc.stats, f)) {
-        f.pc = out[j].pc;
-        out[j] = f;
-        out.erase(out.begin() + static_cast<std::ptrdiff_t>(j) + 1);
-        ++tc.stats.fused_pairs;
-      } else {
-        ++j;
       }
     }
 
@@ -647,20 +517,6 @@ void exec_mem_slot(ExecCtx& cx, CpuState& st, const Rec* rp) {
         mem.write_u32(ea + 4 * i, st.read(static_cast<PhysReg>(rp->a + i)));
       }
       break;
-  }
-}
-
-/// The pair records' evaluator: integer record kind `k` on (a, b, old),
-/// stamped from MAJC_INT_OPS into each pair record.
-[[gnu::always_inline]] inline u32 int_eval(u32 k, u32 a, u32 b, u32 old) {
-  switch (k) {
-#define MAJC_INT_EVAL(name, src, result) \
-  case k##name:                          \
-    return (result);
-    MAJC_INT_OPS(MAJC_INT_EVAL)
-#undef MAJC_INT_EVAL
-    default:
-      return 0;  // unreachable: pair records carry integer kinds only
   }
 }
 
@@ -999,54 +855,13 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     run_slot_op(cx, rp->arg);
     RETIRE_NEXT();
   }
-  L_kSlotOp2: {
-    run_slot_op(cx, rp->arg);
-    run_slot_op(cx, static_cast<u32>(rp->imm));
-    RETIRE_NEXT();
-  }
   L_kDotp: {
     st.write(rp->a, dotp_eval(st.read(rp->a), st.read(rp->b), st.read(rp->c)));
-    RETIRE_NEXT();
-  }
-  L_kDotp2: {
-    st.write(rp->a, dotp_eval(st.read(rp->a), st.read(rp->b), st.read(rp->c)));
-    const PhysReg r2 = static_cast<PhysReg>(rp->imm);
-    st.write(rp->d, dotp_eval(st.read(rp->d), st.read(rp->e), st.read(r2)));
-    RETIRE_NEXT();
-  }
-  L_kDotp3: {
-    const u32 t = static_cast<u32>(rp->imm2);
-    st.write(rp->a, dotp_eval(st.read(rp->a), st.read(rp->b), st.read(rp->c)));
-    st.write(rp->d, dotp_eval(st.read(rp->d), st.read(rp->e),
-                              st.read(static_cast<PhysReg>(t & 0xFF))));
-    const PhysReg d3 = static_cast<PhysReg>((t >> 8) & 0xFF);
-    st.write(d3, dotp_eval(st.read(d3),
-                           st.read(static_cast<PhysReg>((t >> 16) & 0xFF)),
-                           st.read(static_cast<PhysReg>(t >> 24))));
     RETIRE_NEXT();
   }
   L_kFmaddF32: {
     st.write(rp->a,
              fmadd_eval(st.read(rp->a), st.read(rp->b), st.read(rp->c)));
-    RETIRE_NEXT();
-  }
-  L_kFmadd2: {
-    st.write(rp->a,
-             fmadd_eval(st.read(rp->a), st.read(rp->b), st.read(rp->c)));
-    const PhysReg r2 = static_cast<PhysReg>(rp->imm);
-    st.write(rp->d,
-             fmadd_eval(st.read(rp->d), st.read(rp->e), st.read(r2)));
-    RETIRE_NEXT();
-  }
-  L_kAluAlu: {
-    // Parallel-read form (safe for hazardful pairs as well).
-    const u32 v1 = int_eval(rp->arg & 0xFF, st.read(rp->b), st.read(rp->c),
-                            st.read(rp->a));
-    const u32 v2 = int_eval(rp->arg >> 8, st.read(rp->e),
-                            st.read(static_cast<PhysReg>(rp->imm)),
-                            st.read(rp->d));
-    st.write(rp->a, v1);
-    st.write(rp->d, v2);
     RETIRE_NEXT();
   }
   L_kMemSlots: {
@@ -1058,16 +873,6 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     for (u32 i = 0; i < rp->e; ++i) eval_slot_op(cx, so[i], fx);
     if (rp->d != 0xFF) exec_mem_slot(cx, st, rp);
     for (const WriteBack& wb : fx.writes) st.write(wb.reg, wb.value);
-    RETIRE_NEXT();
-  }
-  L_kIaluIalu: {
-    // Parallel-read form: both sources read before either write commits.
-    const u32 v1 = int_eval(rp->arg & 0xFF, st.read(rp->b),
-                            static_cast<u32>(rp->imm), st.read(rp->a));
-    const u32 v2 = int_eval(rp->arg >> 8, st.read(rp->d),
-                            static_cast<u32>(rp->imm2), st.read(rp->c));
-    st.write(rp->a, v1);
-    st.write(rp->c, v2);
     RETIRE_NEXT();
   }
   L_kNopRec: {

@@ -22,20 +22,17 @@
 //    fmadd call exec.h's shared definitions, and the remaining SIMD/FP ops
 //    run through the interpreter's per-class executors.
 //  * A packet's slots execute with parallel-read semantics; the translator
-//    lowers them to sequential records only when the execution order can be
-//    proven equivalent (no earlier-executed slot's destinations intersect a
-//    later slot's sources or destinations). Otherwise a 2-wide
-//    immediate-ALU packet becomes one parallel-read kIaluIalu record, a
-//    memory op beside SIMD/FP slots becomes one deferred-commit kMemSlots
-//    record, and anything else a single kGenericPacket record that calls
-//    execute_packet verbatim.
+//    lowers them to sequential records, exactly one per slot, only when the
+//    execution order can be proven equivalent (no earlier-executed slot's
+//    destinations intersect a later slot's sources or destinations).
+//    Otherwise a memory op beside SIMD/FP slots becomes one deferred-commit
+//    kMemSlots record, and anything else a single kGenericPacket record that
+//    calls execute_packet verbatim.
 //  * Trap-capable slot-0 ops (memory, div) execute first, so a trapping
 //    packet commits nothing — the interpreter's precise-trap contract.
 //    Control transfers execute last, after the other slots committed.
-//  * Fusion stays inside one packet and covers the shapes the Table 1/2
-//    kernels run hot: integer ALU pairs (kAluAlu, kIaluIalu), dotp pairs and
-//    triples (kDotp2, kDotp3), fmadd pairs (kFmadd2) and SIMD/FP slot-op
-//    pairs (kSlotOp2). Every record retires at most one packet.
+//  * A record never spans two slots of a sequential packet, and every
+//    record retires at most one packet.
 #pragma once
 
 #include <cstddef>
@@ -55,26 +52,23 @@ class Program;
 inline constexpr u32 kNoRec = ~u32{0};
 
 /// Static translation statistics: what the 16 kernels' packets look like and
-/// which fusion rules fired (majc_run --shape-stats).
+/// how many fell back to kGenericPacket (majc_run --shape-stats).
 struct ShapeStats {
   u64 packets = 0;          // packets translated
   u64 records = 0;          // dispatch records emitted
   u64 generic_packets = 0;  // packets lowered to kGenericPacket
-  u64 fused_pairs = 0;      // intra-packet pair fusions
   /// Packet shape (slot mnemonics joined with '+') -> static occurrence
   /// count. std::map keeps the output deterministic.
   std::map<std::string, u64> shapes;
-  /// Fused record name -> static occurrence count.
-  std::map<std::string, u64> fused;
 };
 
-/// Render stats as text: totals plus the `top_n` most common shapes and
-/// every fused-shape count (deterministic: count desc, then name).
+/// Render stats as text: totals plus the `top_n` most common shapes
+/// (deterministic: count desc, then name).
 std::string format_shape_stats(const ShapeStats& s, std::size_t top_n = 12);
 
 /// The translated form of one Program.
 struct ThreadedCode {
-  /// One dispatch record. 24 bytes, meaning depends on `kind`; `pc` is the
+  /// One dispatch record. 20 bytes, meaning depends on `kind`; `pc` is the
   /// owning packet's address (trap context / cap-exit pc), `pk_add` /
   /// `ins_add` are the retire increments carried by the last record of each
   /// packet (1 and the packet's width; 0 on interior records).
@@ -83,11 +77,10 @@ struct ThreadedCode {
     u8 a = 0, b = 0, c = 0, d = 0, e = 0;  // physical registers / selectors
     u8 pk_add = 0, ins_add = 0;
     i32 imm = 0;
-    i32 imm2 = 0;
     u32 arg = 0;  // record index (control) / side-table index / value
     u32 pc = 0;   // owning packet's address
   };
-  static_assert(sizeof(Rec) == 24);
+  static_assert(sizeof(Rec) == 20);
 
   /// Side-table entry for slot ops executed through the per-class
   /// executors (SIMD / FP32 / FP64) — exact semantics reuse.

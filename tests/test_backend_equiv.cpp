@@ -5,28 +5,15 @@
 // detail strings, console output, retire statistics and checkpoint bytes —
 // across all 16 Table 1/2 kernels, fatal and recovered traps, a seeded
 // fault-config job matrix through the farm, and checkpoints saved mid-run
-// inside a fused superblock and restored into the *other* backend.
+// inside a translated loop and restored into the *other* backend.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "src/farm/farm.h"
-#include "src/kernels/biquad.h"
-#include "src/kernels/bitrev.h"
-#include "src/kernels/cfir.h"
-#include "src/kernels/color_convert.h"
-#include "src/kernels/convolve.h"
-#include "src/kernels/dct_quant.h"
-#include "src/kernels/fft.h"
-#include "src/kernels/fir.h"
-#include "src/kernels/idct.h"
 #include "src/kernels/kernel.h"
-#include "src/kernels/lms.h"
-#include "src/kernels/max_search.h"
-#include "src/kernels/mb_decode.h"
-#include "src/kernels/motion_est.h"
-#include "src/kernels/vld.h"
+#include "src/kernels/table12.h"
 #include "src/masm/assembler.h"
 #include "src/sim/functional_sim.h"
 #include "src/sim/threaded.h"
@@ -35,36 +22,11 @@
 namespace majc {
 namespace {
 
+using kernels::NamedKernel;
+using kernels::table12_kernels;
 using masm::assemble_or_throw;
 using sim::ExecBackend;
 using sim::FunctionalSim;
-
-struct NamedKernel {
-  const char* name;
-  kernels::KernelSpec (*make)();
-};
-
-std::vector<NamedKernel> table12_kernels() {
-  using namespace kernels;
-  return {
-      {"biquad", [] { return make_biquad_spec(); }},
-      {"fir", [] { return make_fir_spec(); }},
-      {"iir", [] { return make_iir_spec(); }},
-      {"cfir", [] { return make_cfir_spec(); }},
-      {"lms", [] { return make_lms_spec(); }},
-      {"max_search", [] { return make_max_search_spec(); }},
-      {"bitrev", [] { return make_bitrev_spec(); }},
-      {"fft_radix2", [] { return make_fft_radix2_spec(); }},
-      {"fft_radix4", [] { return make_fft_radix4_spec(); }},
-      {"idct", [] { return make_idct_spec(); }},
-      {"dct_quant", [] { return make_dct_quant_spec(); }},
-      {"vld", [] { return make_vld_spec(); }},
-      {"motion_est", [] { return make_motion_est_spec(); }},
-      {"mb_decode", [] { return make_mb_decode_spec(); }},
-      {"convolve", [] { return make_convolve_spec(); }},
-      {"color_convert", [] { return make_color_convert_spec(); }},
-  };
-}
 
 struct Outcome {
   kernels::KernelRun run;
@@ -263,9 +225,9 @@ TEST(BackendEquiv, SeededFarmSweepMatchesAcrossBackends) {
 
 // --------------------------------- checkpoints across the backend seam
 
-// A tight store loop (a fused addi pair, an addi-fed back edge), so the
+// A tight store loop (a 2-wide addi packet, an addi-fed back edge), so the
 // mid-run packet caps below stop the run inside the loop.
-constexpr const char* kFuseLoopProg = R"(
+constexpr const char* kStoreLoopProg = R"(
     .data
   buf: .space 1024
     .code
@@ -285,7 +247,7 @@ TEST(BackendEquiv, MidRunStateBitIdenticalIncludingCheckpointBytes) {
   // Stop both backends at the same mid-loop packet counts; the serialized
   // checkpoints (headers, registers, memory, counters) must be
   // byte-identical — the backend is host-side and outside the format.
-  const masm::Image img = assemble_or_throw(kFuseLoopProg);
+  const masm::Image img = assemble_or_throw(kStoreLoopProg);
   for (const u64 cap : {5ull, 101ull, 102ull, 103ull, 250ull}) {
     FunctionalSim a(img);
     a.set_backend(ExecBackend::kInterp);
@@ -303,7 +265,7 @@ TEST(BackendEquiv, MidRunStateBitIdenticalIncludingCheckpointBytes) {
 
 TEST(BackendEquiv, CheckpointCrossesBackendsMidSuperblock) {
   // Unbroken reference run (interpreter).
-  const masm::Image img = assemble_or_throw(kFuseLoopProg);
+  const masm::Image img = assemble_or_throw(kStoreLoopProg);
   FunctionalSim ref(img);
   ref.set_backend(ExecBackend::kInterp);
   const sim::RunResult rr = ref.run();

@@ -7,21 +7,8 @@
 
 #include <span>
 
-#include "src/kernels/biquad.h"
-#include "src/kernels/bitrev.h"
-#include "src/kernels/cfir.h"
-#include "src/kernels/color_convert.h"
-#include "src/kernels/convolve.h"
-#include "src/kernels/dct_quant.h"
-#include "src/kernels/fft.h"
-#include "src/kernels/fir.h"
-#include "src/kernels/idct.h"
 #include "src/kernels/kernel.h"
-#include "src/kernels/lms.h"
-#include "src/kernels/max_search.h"
-#include "src/kernels/mb_decode.h"
-#include "src/kernels/motion_est.h"
-#include "src/kernels/vld.h"
+#include "src/kernels/table12.h"
 #include "src/masm/assembler.h"
 #include "src/sim/functional_sim.h"
 
@@ -147,22 +134,9 @@ void check_spec(const KernelSpec& spec) {
 }
 
 TEST(Predecode, MatchesFreshDecodeOnAllKernels) {
-  check_spec(kernels::make_idct_spec());
-  check_spec(kernels::make_dct_quant_spec());
-  check_spec(kernels::make_vld_spec());
-  check_spec(kernels::make_motion_est_spec());
-  check_spec(kernels::make_mb_decode_spec());
-  check_spec(kernels::make_biquad_spec());
-  check_spec(kernels::make_fir_spec());
-  check_spec(kernels::make_iir_spec());
-  check_spec(kernels::make_cfir_spec());
-  check_spec(kernels::make_lms_spec());
-  check_spec(kernels::make_max_search_spec());
-  check_spec(kernels::make_bitrev_spec());
-  check_spec(kernels::make_fft_radix2_spec());
-  check_spec(kernels::make_fft_radix4_spec());
-  check_spec(kernels::make_convolve_spec());
-  check_spec(kernels::make_color_convert_spec());
+  for (const kernels::NamedKernel& nk : kernels::table12_kernels()) {
+    check_spec(nk.make());
+  }
 }
 
 // A dynamic control transfer (JMPL to a runtime address) has no static
