@@ -31,8 +31,8 @@
 //  * Trap-capable slot-0 ops (memory, div) execute first, so a trapping
 //    packet commits nothing — the interpreter's precise-trap contract.
 //    Control transfers execute last, after the other slots committed.
-//  * A record never spans two slots of a sequential packet, and every
-//    record retires at most one packet.
+//  * Every record retires at most one packet, so run(N) slicing needs no
+//    special case.
 #pragma once
 
 #include <cstddef>
