@@ -1,10 +1,119 @@
 // Memory-operation semantics: every load/store width, sign extension,
 // addressing forms, group transfers, conditional stores, atomics, and the
 // alignment faults.
+#include <cstring>
+#include <ostream>
+#include <vector>
+
+#include "src/sim/predecode.h"
 #include "tests/exec_test_util.h"
 
 namespace majc {
 namespace {
+
+// One bus access as the memory system sees it. In cycle mode the bus is
+// EccMemory, whose fault stream depends on each access's width, so the
+// (direction, address, width) sequence of every memory op is architectural
+// for faulted runs even where the loaded values would not change.
+struct BusAccess {
+  bool write = false;
+  Addr addr = 0;
+  std::size_t bytes = 0;
+  bool operator==(const BusAccess&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const BusAccess& a) {
+  return os << (a.write ? "W" : "R") << "(0x" << std::hex << a.addr
+            << std::dec << ", " << a.bytes << ")";
+}
+
+/// MemoryBus decorator that logs every access before forwarding it.
+class RecordingBus final : public sim::MemoryBus {
+public:
+  explicit RecordingBus(sim::MemoryBus& inner) : inner_(inner) {}
+
+  void read(Addr addr, std::span<u8> out) override {
+    log.push_back({false, addr, out.size()});
+    inner_.read(addr, out);
+  }
+  void write(Addr addr, std::span<const u8> in) override {
+    log.push_back({true, addr, in.size()});
+    inner_.write(addr, in);
+  }
+
+  std::vector<BusAccess> log;
+
+private:
+  sim::MemoryBus& inner_;
+};
+
+/// Execute the first packet of `src` once through sim::execute_packet with
+/// g3 = 0x1000 (base), g4 = 0x20 (index), g5 = 0x11223344, g6 = 0x0BADF00D,
+/// g10..g17 = 1..8 and the word at 0x1000 = 0x0BADF00D, and return the bus
+/// accesses it made.
+std::vector<BusAccess> accesses_of(const std::string& src) {
+  const sim::Program prog(masm::assemble_or_throw(src));
+  sim::FlatMemory flat(1u << 16);
+  const u32 cell = 0x0BADF00D;
+  std::memcpy(flat.raw().data() + 0x1000, &cell, 4);
+  RecordingBus bus(flat);
+  sim::CpuState st;
+  st.regs[3] = 0x1000;
+  st.regs[4] = 0x20;
+  st.regs[5] = 0x11223344;
+  st.regs[6] = cell;
+  for (u32 i = 0; i < 8; ++i) st.regs[10 + i] = i + 1;
+  st.pc = prog.meta(0).pc;
+  sim::ExecEnv env{bus};
+  sim::PacketScratch scratch;
+  sim::execute_packet(st, prog.packet(0), prog.meta(0), env, scratch);
+  return bus.log;
+}
+
+std::vector<BusAccess> words(bool write, Addr base) {
+  std::vector<BusAccess> v;
+  for (u32 i = 0; i < 8; ++i) v.push_back({write, base + 4 * i, 4});
+  return v;
+}
+
+TEST(ExecMem, BusAccessSequenceIsPinnedPerOp) {
+  using V = std::vector<BusAccess>;
+  const V r1{{false, 0x1020, 1}}, r2{{false, 0x1020, 2}};
+  const V r4{{false, 0x1020, 4}}, r8{{false, 0x1020, 8}};
+  const V w1{{true, 0x1020, 1}}, w2{{true, 0x1020, 2}};
+  const V w4{{true, 0x1020, 4}}, w8{{true, 0x1020, 8}};
+  const struct {
+    const char* src;
+    V want;
+  } cases[] = {
+      {"ldb g10, g3, g4", r1},   {"ldbi g10, g3, 32", r1},
+      {"ldbu g10, g3, g4", r1},  {"ldbui g10, g3, 32", r1},
+      {"ldh g10, g3, g4", r2},   {"ldhi g10, g3, 32", r2},
+      {"ldhu g10, g3, g4", r2},  {"ldhui g10, g3, 32", r2},
+      {"ldw g10, g3, g4", r4},   {"ldwi g10, g3, 32", r4},
+      {"ldl g10, g3, g4", r8},   {"ldli g10, g3, 32", r8},
+      {"ldg g8, g3, g4", words(false, 0x1020)},
+      {"ldgi g8, g3, 32", words(false, 0x1020)},
+      {"stb g5, g3, g4", w1},    {"stbi g5, g3, 32", w1},
+      {"sth g5, g3, g4", w2},    {"sthi g5, g3, 32", w2},
+      {"stw g5, g3, g4", w4},    {"stwi g5, g3, 32", w4},
+      {"stl g10, g3, g4", w8},   {"stli g10, g3, 32", w8},
+      {"stg g8, g3, g4", words(true, 0x1020)},
+      {"stgi g8, g3, 32", words(true, 0x1020)},
+      {"stcw g5, g3, g4", {{true, 0x1000, 4}}},  // predicate true
+      {"stcw g5, g3, g0", {}},                   // predicate false
+      // cas: expected value matches, so it reads then writes the word.
+      {"cas g5, g3, g6", {{false, 0x1000, 4}, {true, 0x1000, 4}}},
+      // cas: mismatch reads only.
+      {"cas g5, g3, g4", {{false, 0x1000, 4}}},
+      {"swap g5, g3", {{false, 0x1000, 4}, {true, 0x1000, 4}}},
+      {"pref g0, g3, g4", {}},   {"prefi g0, g3, 32", {}},
+      {"membar", {}},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(accesses_of(c.src), c.want) << c.src;
+  }
+}
 
 TEST(ExecMem, ByteAndHalfLoadsSignExtend) {
   ExecRun r(R"(
