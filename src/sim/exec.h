@@ -11,16 +11,20 @@
 //
 // The op semantics the threaded-code backend (threaded.cpp) shares with
 // this executor live here, once: MAJC_INT_OPS lists every integer ALU and
-// multiply op with its result expression, and int_div / int_divu, dotp_eval
-// and fmadd_eval define the rest of the ops that backend runs directly.
-// Both engines stamp them into their own dispatch code, so a shared
-// definition never costs a call.
+// multiply op with its result expression, MAJC_LOAD_OPS / MAJC_STORE_OPS
+// every plain load and store with its access shape (load_words and
+// store_words are the only code that knows widths, extension, pair order
+// and group order), and int_div / int_divu, cas_word / swap_word,
+// dotp_eval and fmadd_eval define the rest of the ops that backend runs
+// directly. Both engines stamp them into their own dispatch code, so a
+// shared definition never costs a call.
 #pragma once
 
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <type_traits>
 
 #include "src/isa/encoding.h"
 #include "src/sim/memory.h"
@@ -37,8 +41,7 @@ namespace majc::sim {
 // operand b comes from: R = rs2, I = the immediate. `result` is an
 // expression over the u32 operands a (rs1), b and old (rd before the
 // packet). Each engine expands the rows into its own switch or
-// computed-goto labels. The threaded backend's pair records rely on two
-// contiguous runs: Add..Cmpleu and Addi..Srai.
+// computed-goto labels.
 #define MAJC_INT_OPS(X)                                                       \
   X(Add, R, a + b)                                                            \
   X(Sub, R, a - b)                                                            \
@@ -103,6 +106,109 @@ namespace majc::sim {
   }
   return b == 0 ? 0 : a / b;
 }
+
+/// Access shapes beyond one sub-word or word: Pair is ldl/stl, one 8-byte
+/// access whose high word is rd and low word rd+1; Group8 is ldg/stg, eight
+/// word accesses in ascending address order to rd..rd+7.
+struct Pair {};
+struct Group8 {};
+
+/// `Word` is the type of each bus access (its size is also the alignment),
+/// kWords the registers moved, kBytes the span touched. A sub-word signed
+/// T sign-extends, an unsigned one zero-extends.
+template <class T>
+struct MemShape {
+  using Word = std::make_unsigned_t<T>;
+  static constexpr u32 kWords = 1, kBytes = sizeof(T);
+};
+template <>
+struct MemShape<Pair> {
+  using Word = u64;
+  static constexpr u32 kWords = 2, kBytes = 8;
+};
+template <>
+struct MemShape<Group8> {
+  using Word = u32;
+  static constexpr u32 kWords = 8, kBytes = 32;
+};
+
+// Every plain load and store, one row each: X(name, T). `name` pastes to
+// isa::Op::k<name> (ea = rs1 + rs2), isa::Op::k<name>i (ea = rs1 + imm) and
+// the threaded backend's record kind k<name>; T is the MemShape.
+#define MAJC_LOAD_OPS(X)                                                      \
+  X(Ldb, i8) X(Ldbu, u8) X(Ldh, i16) X(Ldhu, u16) X(Ldw, u32) X(Ldl, Pair)    \
+  X(Ldg, Group8)
+#define MAJC_STORE_OPS(X)                                                     \
+  X(Stb, u8) X(Sth, u16) X(Stw, u32) X(Stl, Pair) X(Stg, Group8)
+
+/// Load of shape T at ea through accessor `acc` into w, w[i] being the
+/// value for rd + i; every access precedes the caller's commit, so a
+/// trapping group load commits nothing. An accessor provides
+/// load(Addr, W&) and store(Addr, W) for W = u8, u16, u32 and u64.
+template <class T, class Acc>
+[[gnu::always_inline]] inline void load_words(Acc& acc, Addr ea,
+                                              u32 (&w)[MemShape<T>::kWords]) {
+  if constexpr (std::is_same_v<T, Group8>) {
+    for (u32 i = 0; i < 8; ++i) acc.load(ea + 4 * i, w[i]);
+  } else if constexpr (std::is_same_v<T, Pair>) {
+    u64 v;
+    acc.load(ea, v);
+    w[0] = static_cast<u32>(v >> 32);
+    w[1] = static_cast<u32>(v);
+  } else {
+    typename MemShape<T>::Word v;
+    acc.load(ea, v);
+    w[0] = static_cast<u32>(static_cast<i32>(static_cast<T>(v)));
+  }
+}
+
+/// Store of shape T at ea through `acc`; w[i] is the value of rd + i, and a
+/// sub-word store keeps its low bits.
+template <class T, class Acc>
+[[gnu::always_inline]] inline void store_words(
+    Acc& acc, Addr ea, const u32 (&w)[MemShape<T>::kWords]) {
+  if constexpr (std::is_same_v<T, Group8>) {
+    for (u32 i = 0; i < 8; ++i) acc.store(ea + 4 * i, w[i]);
+  } else if constexpr (std::is_same_v<T, Pair>) {
+    acc.store(ea, (u64{w[0]} << 32) | w[1]);
+  } else {
+    acc.store(ea, static_cast<typename MemShape<T>::Word>(w[0]));
+  }
+}
+
+/// CAS: if the word at a equals `expect`, store `value`; rd gets the old
+/// word.
+template <class Acc>
+[[gnu::always_inline]] inline u32 cas_word(Acc& acc, Addr a, u32 expect,
+                                           u32 value) {
+  u32 old;
+  acc.load(a, old);
+  if (old == expect) acc.store(a, value);
+  return old;
+}
+
+/// SWAP: store `value` at a; rd gets the old word.
+template <class Acc>
+[[gnu::always_inline]] inline u32 swap_word(Acc& acc, Addr a, u32 value) {
+  u32 old;
+  acc.load(a, old);
+  acc.store(a, value);
+  return old;
+}
+
+/// Accessor over a MemoryBus: one alignment-checked typed helper call per
+/// access, so faults raise the bus's architected trap and detail text.
+struct BusView {
+  MemoryBus& mem;
+  [[gnu::always_inline]] void load(Addr a, u8& v) { v = mem.read_u8(a); }
+  [[gnu::always_inline]] void load(Addr a, u16& v) { v = mem.read_u16(a); }
+  [[gnu::always_inline]] void load(Addr a, u32& v) { v = mem.read_u32(a); }
+  [[gnu::always_inline]] void load(Addr a, u64& v) { v = mem.read_u64(a); }
+  [[gnu::always_inline]] void store(Addr a, u8 v) { mem.write_u8(a, v); }
+  [[gnu::always_inline]] void store(Addr a, u16 v) { mem.write_u16(a, v); }
+  [[gnu::always_inline]] void store(Addr a, u32 v) { mem.write_u32(a, v); }
+  [[gnu::always_inline]] void store(Addr a, u64 v) { mem.write_u64(a, v); }
+};
 
 /// DOTP: full 32-bit precision dot product of the 16-bit lane pairs of a
 /// and b, accumulated into old (paper §4). Each lane product fits in i32;

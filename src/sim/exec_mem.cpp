@@ -35,6 +35,7 @@ namespace {
 
 using isa::Instr;
 using isa::Op;
+using isa::PhysReg;
 
 Addr effective_address(const Instr& in, u32 fu, const CpuState& st) {
   const u32 base = st.reads(in.rs1, fu);
@@ -52,112 +53,56 @@ void note_access(SlotEffects& fx, MemAccess::Kind kind, Addr addr, u32 bytes,
   fx.mem.attr = attr;
 }
 
+/// One MAJC_LOAD_OPS / MAJC_STORE_OPS row, R or I form. Loaded words join
+/// the packet's deferred register writes.
+template <class T, bool kStore>
+[[gnu::always_inline]] inline void exec_load_store(const Instr& in, u32 fu,
+                                                   const CpuState& st,
+                                                   BusView& bus,
+                                                   SlotEffects& fx) {
+  const PhysReg rd = isa::to_phys(in.rd, fu);
+  const Addr a = effective_address(in, fu, st);
+  constexpr u32 n = MemShape<T>::kWords;
+  u32 w[n];
+  if constexpr (kStore) {
+    for (u32 i = 0; i < n; ++i) w[i] = st.read(static_cast<PhysReg>(rd + i));
+    store_words<T>(bus, a, w);
+  } else {
+    load_words<T>(bus, a, w);
+    for (u32 i = 0; i < n; ++i) {
+      fx.writes.push_back({static_cast<PhysReg>(rd + i), w[i]});
+    }
+  }
+  note_access(fx, kStore ? MemAccess::Kind::kStore : MemAccess::Kind::kLoad,
+              a, MemShape<T>::kBytes, in.sub);
+}
+
 } // namespace
 
 void exec_mem_op(const Instr& in, u32 fu, const CpuState& st, ExecEnv& env,
                  SlotEffects& fx) {
-  const isa::PhysReg rd = isa::to_phys(in.rd, fu);
+  const PhysReg rd = isa::to_phys(in.rd, fu);
+  BusView bus{env.mem};
   switch (in.op) {
-    case Op::kLdb:
-    case Op::kLdbi: {
-      const Addr a = effective_address(in, fu, st);
-      fx.writes.push_back({rd, static_cast<u32>(static_cast<i32>(
-                                   static_cast<i8>(env.mem.read_u8(a))))});
-      note_access(fx, MemAccess::Kind::kLoad, a, 1, in.sub);
-      break;
-    }
-    case Op::kLdbu:
-    case Op::kLdbui: {
-      const Addr a = effective_address(in, fu, st);
-      fx.writes.push_back({rd, env.mem.read_u8(a)});
-      note_access(fx, MemAccess::Kind::kLoad, a, 1, in.sub);
-      break;
-    }
-    case Op::kLdh:
-    case Op::kLdhi: {
-      const Addr a = effective_address(in, fu, st);
-      fx.writes.push_back({rd, static_cast<u32>(static_cast<i32>(
-                                   static_cast<i16>(env.mem.read_u16(a))))});
-      note_access(fx, MemAccess::Kind::kLoad, a, 2, in.sub);
-      break;
-    }
-    case Op::kLdhu:
-    case Op::kLdhui: {
-      const Addr a = effective_address(in, fu, st);
-      fx.writes.push_back({rd, env.mem.read_u16(a)});
-      note_access(fx, MemAccess::Kind::kLoad, a, 2, in.sub);
-      break;
-    }
-    case Op::kLdw:
-    case Op::kLdwi: {
-      const Addr a = effective_address(in, fu, st);
-      fx.writes.push_back({rd, env.mem.read_u32(a)});
-      note_access(fx, MemAccess::Kind::kLoad, a, 4, in.sub);
-      break;
-    }
-    case Op::kLdl:
-    case Op::kLdli: {
-      const Addr a = effective_address(in, fu, st);
-      const u64 v = env.mem.read_u64(a);
-      fx.writes.push_back({rd, static_cast<u32>(v >> 32)});
-      fx.writes.push_back(
-          {static_cast<isa::PhysReg>(rd + 1), static_cast<u32>(v)});
-      note_access(fx, MemAccess::Kind::kLoad, a, 8, in.sub);
-      break;
-    }
-    case Op::kLdg:
-    case Op::kLdgi: {
-      const Addr a = effective_address(in, fu, st);
-      for (u32 i = 0; i < 8; ++i) {
-        fx.writes.push_back({static_cast<isa::PhysReg>(rd + i),
-                             env.mem.read_u32(a + 4 * i)});
-      }
-      note_access(fx, MemAccess::Kind::kLoad, a, 32, in.sub);
-      break;
-    }
-    case Op::kStb:
-    case Op::kStbi: {
-      const Addr a = effective_address(in, fu, st);
-      env.mem.write_u8(a, static_cast<u8>(st.read(rd)));
-      note_access(fx, MemAccess::Kind::kStore, a, 1, in.sub);
-      break;
-    }
-    case Op::kSth:
-    case Op::kSthi: {
-      const Addr a = effective_address(in, fu, st);
-      env.mem.write_u16(a, static_cast<u16>(st.read(rd)));
-      note_access(fx, MemAccess::Kind::kStore, a, 2, in.sub);
-      break;
-    }
-    case Op::kStw:
-    case Op::kStwi: {
-      const Addr a = effective_address(in, fu, st);
-      env.mem.write_u32(a, st.read(rd));
-      note_access(fx, MemAccess::Kind::kStore, a, 4, in.sub);
-      break;
-    }
-    case Op::kStl:
-    case Op::kStli: {
-      const Addr a = effective_address(in, fu, st);
-      env.mem.write_u64(a, st.read_pair(in.rd, fu));
-      note_access(fx, MemAccess::Kind::kStore, a, 8, in.sub);
-      break;
-    }
-    case Op::kStg:
-    case Op::kStgi: {
-      const Addr a = effective_address(in, fu, st);
-      for (u32 i = 0; i < 8; ++i) {
-        env.mem.write_u32(a + 4 * i,
-                          st.read(static_cast<isa::PhysReg>(rd + i)));
-      }
-      note_access(fx, MemAccess::Kind::kStore, a, 32, in.sub);
-      break;
-    }
+#define MAJC_LOAD_CASE(name, T)                     \
+  case Op::k##name:                                 \
+  case Op::k##name##i:                              \
+    exec_load_store<T, false>(in, fu, st, bus, fx); \
+    break;
+#define MAJC_STORE_CASE(name, T)                   \
+  case Op::k##name:                                \
+  case Op::k##name##i:                             \
+    exec_load_store<T, true>(in, fu, st, bus, fx); \
+    break;
+    MAJC_LOAD_OPS(MAJC_LOAD_CASE)
+    MAJC_STORE_OPS(MAJC_STORE_CASE)
+#undef MAJC_LOAD_CASE
+#undef MAJC_STORE_CASE
     case Op::kStcw: {
       // Conditional (predicated) store: store rd at [rs1] if rs2 != 0.
       const Addr a = static_cast<Addr>(st.reads(in.rs1, fu));
       if (st.reads(in.rs2, fu) != 0) {
-        env.mem.write_u32(a, st.read(rd));
+        bus.store(a, st.read(rd));
         note_access(fx, MemAccess::Kind::kStore, a, 4, 0);
       }
       break;
@@ -172,19 +117,14 @@ void exec_mem_op(const Instr& in, u32 fu, const CpuState& st, ExecEnv& env,
     case Op::kCas: {
       // Compare [rs1] with rs2; if equal store rd; rd receives the old value.
       const Addr a = static_cast<Addr>(st.reads(in.rs1, fu));
-      const u32 old = env.mem.read_u32(a);
-      if (old == st.reads(in.rs2, fu)) {
-        env.mem.write_u32(a, st.read(rd));
-      }
-      fx.writes.push_back({rd, old});
+      fx.writes.push_back(
+          {rd, cas_word(bus, a, st.reads(in.rs2, fu), st.read(rd))});
       note_access(fx, MemAccess::Kind::kAtomic, a, 4, 0);
       break;
     }
     case Op::kSwap: {
       const Addr a = static_cast<Addr>(st.reads(in.rs1, fu));
-      const u32 old = env.mem.read_u32(a);
-      env.mem.write_u32(a, st.read(rd));
-      fx.writes.push_back({rd, old});
+      fx.writes.push_back({rd, swap_word(bus, a, st.read(rd))});
       note_access(fx, MemAccess::Kind::kAtomic, a, 4, 0);
       break;
     }

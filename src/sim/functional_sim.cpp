@@ -128,6 +128,32 @@ RunResult FunctionalSim::run(u64 max_packets) {
                                             : run_interp(max_packets);
 }
 
+bool FunctionalSim::take_trap(const TrapException& e, RunResult& res) {
+  // Precise context: the faulting packet committed no register writes, so
+  // state_.pc still names it (both engines keep that invariant).
+  Trap t = e.trap();
+  t.cpu = 0;
+  t.pc = state_.pc;
+  t.cycle = packets_run_;
+  t.unit = TimeUnit::kPackets;
+  if (state_.can_deliver(t.deliverable)) {
+    // Deliver to the guest handler and keep running. tnpc is the faulting
+    // packet's fall-through so a handler can skip it; when the pc is not a
+    // packet boundary (kIllegalPacket) there is no fall-through and tnpc
+    // degenerates to tpc.
+    const u32 fidx = program_->find_index(state_.pc);
+    const Addr npc =
+        fidx == kNoPacketIndex ? state_.pc : program_->meta(fidx).fall_through;
+    state_.deliver_trap(static_cast<u32>(t.code), t.pc, npc, t.value);
+    ++traps_delivered_;
+    last_trap_ = std::move(t);
+    return true;
+  }
+  res.trap = std::move(t);
+  res.reason = TerminationReason::kTrap;
+  return false;
+}
+
 RunResult FunctionalSim::run_interp(u64 max_packets) {
   RunResult res;
   ExecEnv env{mem_};
@@ -158,31 +184,8 @@ RunResult FunctionalSim::run_interp(u64 max_packets) {
         idx = kNoPacketIndex;
       }
     } catch (const TrapException& e) {
-      // Precise context: the faulting packet committed no register writes,
-      // so state_.pc still names it.
-      Trap t = e.trap();
-      t.cpu = 0;
-      t.pc = state_.pc;
-      t.cycle = packets_run_;
-      t.unit = TimeUnit::kPackets;
-      if (state_.can_deliver(t.deliverable)) {
-        // Deliver to the guest handler and keep running. tnpc is the
-        // faulting packet's fall-through so a handler can skip it; when the
-        // pc is not a packet boundary (kIllegalPacket) there is no
-        // fall-through and tnpc degenerates to tpc.
-        const u32 fidx = program_->find_index(state_.pc);
-        const Addr npc = fidx == kNoPacketIndex
-                             ? state_.pc
-                             : program_->meta(fidx).fall_through;
-        state_.deliver_trap(static_cast<u32>(t.code), t.pc, npc, t.value);
-        ++traps_delivered_;
-        last_trap_ = std::move(t);
-        idx = kNoPacketIndex;
-        continue;
-      }
-      res.trap = std::move(t);
-      res.reason = TerminationReason::kTrap;
-      return res;
+      if (!take_trap(e, res)) return res;
+      idx = kNoPacketIndex;
     }
   }
   res.halted = state_.halted;

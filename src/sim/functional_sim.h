@@ -164,6 +164,10 @@ public:
 private:
   RunResult run_interp(u64 max_packets);
   RunResult run_threaded(u64 max_packets);  // defined in threaded.cpp
+  /// Both run loops' trap path: stamp the trap raised by the packet at
+  /// state_.pc, then deliver it to the guest handler (returns true: keep
+  /// running) or record it in `res` as the run's end (returns false).
+  bool take_trap(const TrapException& e, RunResult& res);
 
   ProgramRef program_;
   FlatMemory mem_;

@@ -16,63 +16,36 @@ void check_align(Addr a, std::size_t n) {
   }
 }
 
+// Every typed helper: one alignment check, then one access of the full
+// width through the virtual read/write (little-endian, like the host).
+template <class W>
+W load(MemoryBus& mem, Addr a) {
+  check_align(a, sizeof(W));
+  u8 b[sizeof(W)];
+  mem.read(a, b);
+  W v;
+  std::memcpy(&v, b, sizeof v);
+  return v;
+}
+
+template <class W>
+void store(MemoryBus& mem, Addr a, W v) {
+  check_align(a, sizeof(W));
+  u8 b[sizeof(W)];
+  std::memcpy(b, &v, sizeof v);
+  mem.write(a, b);
+}
+
 } // namespace
 
-u8 MemoryBus::read_u8(Addr a) {
-  u8 v;
-  read(a, {&v, 1});
-  return v;
-}
-
-u16 MemoryBus::read_u16(Addr a) {
-  check_align(a, 2);
-  u8 b[2];
-  read(a, b);
-  u16 v;
-  std::memcpy(&v, b, 2);
-  return v;
-}
-
-u32 MemoryBus::read_u32(Addr a) {
-  check_align(a, 4);
-  u8 b[4];
-  read(a, b);
-  u32 v;
-  std::memcpy(&v, b, 4);
-  return v;
-}
-
-u64 MemoryBus::read_u64(Addr a) {
-  check_align(a, 8);
-  u8 b[8];
-  read(a, b);
-  u64 v;
-  std::memcpy(&v, b, 8);
-  return v;
-}
-
-void MemoryBus::write_u8(Addr a, u8 v) { write(a, {&v, 1}); }
-
-void MemoryBus::write_u16(Addr a, u16 v) {
-  check_align(a, 2);
-  u8 b[2];
-  std::memcpy(b, &v, 2);
-  write(a, b);
-}
-
-void MemoryBus::write_u32(Addr a, u32 v) {
-  check_align(a, 4);
-  u8 b[4];
-  std::memcpy(b, &v, 4);
-  write(a, b);
-}
-
-void MemoryBus::write_u64(Addr a, u64 v) {
-  check_align(a, 8);
-  u8 b[8];
-  std::memcpy(b, &v, 8);
-  write(a, b);
-}
+u8 MemoryBus::read_u8(Addr a) { return load<u8>(*this, a); }
+u16 MemoryBus::read_u16(Addr a) { return load<u16>(*this, a); }
+u32 MemoryBus::read_u32(Addr a) { return load<u32>(*this, a); }
+u64 MemoryBus::read_u64(Addr a) { return load<u64>(*this, a); }
+void MemoryBus::write_u8(Addr a, u8 v) { store(*this, a, v); }
+void MemoryBus::write_u16(Addr a, u16 v) { store(*this, a, v); }
+void MemoryBus::write_u32(Addr a, u32 v) { store(*this, a, v); }
+void MemoryBus::write_u64(Addr a, u64 v) { store(*this, a, v); }
 
 void FlatMemory::read(Addr addr, std::span<u8> out) {
   if (addr + out.size() > bytes_.size()) {

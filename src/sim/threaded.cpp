@@ -2,11 +2,13 @@
 //
 // See threaded.h for the lowering rules and DESIGN.md §13 for the
 // equivalence argument. The executor is written against the same semantic
-// primitives as the interpreter (CpuState::read/write, the MemoryBus typed
-// helpers on the trap path, the MAJC_INT_OPS table and the other shared op
-// definitions of exec.h, the per-class exec_* functions for SIMD/FP and
-// execute_packet for generic packets), so every guest-visible outcome —
-// including trap cause/detail strings — is bit-identical by construction.
+// primitives as the interpreter (CpuState::read/write, the MAJC_INT_OPS and
+// MAJC_LOAD_OPS / MAJC_STORE_OPS tables and the other shared op definitions
+// of exec.h, whose load_words / store_words run over a raw arena view on
+// the fast path and over the MemoryBus typed helpers on the trap path, the
+// per-class exec_* functions for SIMD/FP and execute_packet for generic
+// packets), so every guest-visible outcome — including trap cause/detail
+// strings — is bit-identical by construction.
 #include "src/sim/threaded.h"
 
 #include <algorithm>
@@ -26,16 +28,17 @@ using isa::Instr;
 using isa::Op;
 using isa::PhysReg;
 
-// Record kinds. One integer kind per MAJC_INT_OPS row (exec.h), named after
-// it, comes first; MAJC_REC_KINDS lists the rest. The enum and the
-// computed-goto label table expand both lists in the same order, so a
-// mismatch is a compile error, not a misdispatch.
+// Record kinds. One integer kind per MAJC_INT_OPS row and one memory kind
+// per MAJC_LOAD_OPS / MAJC_STORE_OPS row (exec.h), each named after its row,
+// come first; MAJC_REC_KINDS lists the rest. The enum and the computed-goto
+// label table expand the lists in the same order, so a mismatch is a
+// compile error, not a misdispatch. A load/store record addresses
+// ea = read(b) + read(c) + imm and moves registers a, a+1, ...
 #define MAJC_REC_KINDS(X)                                                     \
   /* integer divide: a=rd, b=rs1, c=rs2; GETTICK: a=rd */                     \
   X(kDiv) X(kDivu) X(kGettick)                                                \
-  /* memory: ea = read(b) + read(c) + imm; a = data register */               \
-  X(kLdb) X(kLdbu) X(kLdh) X(kLdhu) X(kLdw) X(kLdl) X(kLdg)                   \
-  X(kStb) X(kSth) X(kStw) X(kStl) X(kStg) X(kStcw) X(kCas) X(kSwap)           \
+  /* stcw / cas / swap: a=rd, b=rs1 (the address), c=rs2 */                   \
+  X(kStcw) X(kCas) X(kSwap)                                                   \
   /* control (slot 0, executed last) */                                       \
   X(kBnz) X(kBz) X(kCallRec) X(kJmplRec) X(kHaltRec)                          \
   X(kTrapCon) X(kSettvecRec)                                                  \
@@ -52,6 +55,9 @@ enum Kind : u8 {
 #define MAJC_INT_KIND(name, src, result) k##name,
   MAJC_INT_OPS(MAJC_INT_KIND)
 #undef MAJC_INT_KIND
+#define MAJC_MEM_KIND(name, T) k##name,
+  MAJC_LOAD_OPS(MAJC_MEM_KIND) MAJC_STORE_OPS(MAJC_MEM_KIND)
+#undef MAJC_MEM_KIND
 #define MAJC_KIND_ENUM(k) k,
   MAJC_REC_KINDS(MAJC_KIND_ENUM)
 #undef MAJC_KIND_ENUM
@@ -110,23 +116,20 @@ bool sequential_ok(const PacketMeta& m, const u32* order, u32 n) {
   return true;
 }
 
-/// Memory record kind for ops with the unified ea = b + c + imm lowering
-/// (kMemSlots packs one of these beside its slot ops); -1 for anything else.
+/// Record kind of a MAJC_LOAD_OPS / MAJC_STORE_OPS op, R or I form (the
+/// unified ea = b + c + imm lowering; kMemSlots packs one of these beside
+/// its slot ops); -1 for anything else.
 int mem_kind_of(Op op) {
   switch (op) {
-    case Op::kLdb: case Op::kLdbi: return kLdb;
-    case Op::kLdbu: case Op::kLdbui: return kLdbu;
-    case Op::kLdh: case Op::kLdhi: return kLdh;
-    case Op::kLdhu: case Op::kLdhui: return kLdhu;
-    case Op::kLdw: case Op::kLdwi: return kLdw;
-    case Op::kLdl: case Op::kLdli: return kLdl;
-    case Op::kLdg: case Op::kLdgi: return kLdg;
-    case Op::kStb: case Op::kStbi: return kStb;
-    case Op::kSth: case Op::kSthi: return kSth;
-    case Op::kStw: case Op::kStwi: return kStw;
-    case Op::kStl: case Op::kStli: return kStl;
-    case Op::kStg: case Op::kStgi: return kStg;
-    default: return -1;
+#define MAJC_MEM_KIND_OF(name, T) \
+  case Op::k##name:               \
+  case Op::k##name##i:            \
+    return k##name;
+    MAJC_LOAD_OPS(MAJC_MEM_KIND_OF)
+    MAJC_STORE_OPS(MAJC_MEM_KIND_OF)
+#undef MAJC_MEM_KIND_OF
+    default:
+      return -1;
   }
 }
 
@@ -337,18 +340,12 @@ ThreadedCode translate(const Program& prog) {
       // commit only after the (trap-capable) memory op succeeded, so this
       // shape needs no hazard proof at all — it IS the parallel-read,
       // slot-order-commit semantics, minus the generic packet walk.
-      bool mem_slots_ok = !transfer && p.width >= 2;
-      int mk = 0xFF;  // "no memory op"
-      if (mem_slots_ok) {
-        const Instr& s0 = p.slot[0];
-        if (s0.op == Op::kNop || s0.op == Op::kPref || s0.op == Op::kPrefi ||
-            s0.op == Op::kMembar) {
-          mk = 0xFF;
-        } else {
-          mk = mem_kind_of(s0.op);
-          mem_slots_ok = mk >= 0;
-        }
-      }
+      const Op op0 = p.slot[0].op;
+      const int mk = op0 == Op::kNop || op0 == Op::kPref ||
+                             op0 == Op::kPrefi || op0 == Op::kMembar
+                         ? 0xFF  // no memory op
+                         : mem_kind_of(op0);
+      bool mem_slots_ok = !transfer && p.width >= 2 && mk >= 0;
       u32 n_slot_ops = 0;
       if (mem_slots_ok) {
         for (u32 s = 1; s < p.width && mem_slots_ok; ++s) {
@@ -438,6 +435,28 @@ const ThreadedCode& Program::threaded() const {
 
 namespace {
 
+/// Accessor over the FlatMemory arena for the records' fast path: raw
+/// little-endian copies, valid only where fits<T>() holds (aligned and in
+/// range). Everything else takes the BusView path, which traps.
+struct ArenaView {
+  u8* base;
+  i64 size;
+  template <class T>
+  [[gnu::always_inline]] bool fits(u32 ea) const {
+    constexpr u32 kAlign = sizeof(typename MemShape<T>::Word);
+    return (ea & (kAlign - 1)) == 0 &&
+           static_cast<i64>(ea) + MemShape<T>::kBytes <= size;
+  }
+  template <class W>
+  [[gnu::always_inline]] void load(Addr a, W& v) const {
+    std::memcpy(&v, base + a, sizeof v);
+  }
+  template <class W>
+  [[gnu::always_inline]] void store(Addr a, W v) const {
+    std::memcpy(base + a, &v, sizeof v);
+  }
+};
+
 struct ExecCtx {
   const Program& prog;
   const ThreadedCode& tc;
@@ -447,10 +466,8 @@ struct ExecCtx {
   u64& packets_run;
   u64& instrs_run;
   u64 max_packets;
-  u8* mbase;
-  // Per-granule fast-path bounds: ea <= limN iff [ea, ea+N) is in range
-  // (negative when the arena is smaller than the granule).
-  i64 lim1, lim2, lim4, lim8, lim32;
+  ArenaView arena;  // records' fast path
+  BusView bus;      // their trap path, and stcw / cas / swap
   PacketScratch& scratch;  // kGenericPacket's execute_packet storage
 };
 
@@ -471,52 +488,48 @@ inline void run_slot_op(ExecCtx& cx, u32 idx) {
   for (const WriteBack& wb : fx.writes) cx.st.write(wb.reg, wb.value);
 }
 
-/// The deferred memory op of a kMemSlots record: executes (and may throw)
-/// before any slot-op effect commits, then commits its own loads — slot 0
-/// commits first, like the interpreter. Uses the MemoryBus typed helpers for
-/// identical trap cause/detail text.
-void exec_mem_slot(ExecCtx& cx, CpuState& st, const Rec* rp) {
-  st.pc = rp->pc;
+/// A MAJC_LOAD_OPS / MAJC_STORE_OPS record: the arena fast path when the
+/// access is aligned and in range, else the MemoryBus path with st.pc
+/// naming the packet for the trap it raises. Loads commit after every
+/// access.
+template <class T, bool kStore>
+[[gnu::always_inline]] inline void mem_rec(ExecCtx& cx, const Rec* rp) {
+  CpuState& st = cx.st;
   const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-  MemoryBus& mem = cx.env.mem;
+  constexpr u32 n = MemShape<T>::kWords;
+  const auto reg = [rp](u32 i) { return static_cast<PhysReg>(rp->a + i); };
+  u32 w[n];
+  if constexpr (kStore) {
+    for (u32 i = 0; i < n; ++i) w[i] = st.read(reg(i));
+  }
+  if (cx.arena.fits<T>(ea)) [[likely]] {
+    if constexpr (kStore) store_words<T>(cx.arena, ea, w);
+    else load_words<T>(cx.arena, ea, w);
+  } else {
+    st.pc = rp->pc;
+    if constexpr (kStore) store_words<T>(cx.bus, ea, w);
+    else load_words<T>(cx.bus, ea, w);
+  }
+  if constexpr (!kStore) {
+    for (u32 i = 0; i < n; ++i) st.write(reg(i), w[i]);
+  }
+}
+
+/// The deferred memory op of a kMemSlots record (rp->d is its kind): runs
+/// (and may throw) before any slot-op effect commits, then commits its own
+/// loads — slot 0 commits first, like the interpreter.
+void exec_mem_slot(ExecCtx& cx, const Rec* rp) {
   switch (rp->d) {
-    case kLdb:
-      st.write(rp->a, static_cast<u32>(static_cast<i32>(
-                          static_cast<i8>(mem.read_u8(ea)))));
-      break;
-    case kLdbu: st.write(rp->a, mem.read_u8(ea)); break;
-    case kLdh:
-      st.write(rp->a, static_cast<u32>(static_cast<i32>(
-                          static_cast<i16>(mem.read_u16(ea)))));
-      break;
-    case kLdhu: st.write(rp->a, mem.read_u16(ea)); break;
-    case kLdw: st.write(rp->a, mem.read_u32(ea)); break;
-    case kLdl: {
-      const u64 v = mem.read_u64(ea);
-      st.write(rp->a, static_cast<u32>(v >> 32));
-      st.write(static_cast<PhysReg>(rp->a + 1), static_cast<u32>(v));
-      break;
-    }
-    case kLdg: {
-      u32 tmp[8];  // gather before committing (trapping ldg commits nothing)
-      for (u32 i = 0; i < 8; ++i) tmp[i] = mem.read_u32(ea + 4 * i);
-      for (u32 i = 0; i < 8; ++i) {
-        st.write(static_cast<PhysReg>(rp->a + i), tmp[i]);
-      }
-      break;
-    }
-    case kStb: mem.write_u8(ea, static_cast<u8>(st.read(rp->a))); break;
-    case kSth: mem.write_u16(ea, static_cast<u16>(st.read(rp->a))); break;
-    case kStw: mem.write_u32(ea, st.read(rp->a)); break;
-    case kStl:
-      mem.write_u64(ea, (u64{st.read(rp->a)} << 32) |
-                            st.read(static_cast<PhysReg>(rp->a + 1)));
-      break;
-    default:  // kStg
-      for (u32 i = 0; i < 8; ++i) {
-        mem.write_u32(ea + 4 * i, st.read(static_cast<PhysReg>(rp->a + i)));
-      }
-      break;
+#define MAJC_LOAD_SLOT(name, T) \
+  case k##name:                 \
+    return mem_rec<T, false>(cx, rp);
+#define MAJC_STORE_SLOT(name, T) \
+  case k##name:                  \
+    return mem_rec<T, true>(cx, rp);
+    MAJC_LOAD_OPS(MAJC_LOAD_SLOT)
+    MAJC_STORE_OPS(MAJC_STORE_SLOT)
+#undef MAJC_LOAD_SLOT
+#undef MAJC_STORE_SLOT
   }
 }
 
@@ -589,6 +602,9 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
 #define MAJC_INT_LBL(name, src, result) &&L_k##name,
       MAJC_INT_OPS(MAJC_INT_LBL)
 #undef MAJC_INT_LBL
+#define MAJC_MEM_LBL(name, T) &&L_k##name,
+      MAJC_LOAD_OPS(MAJC_MEM_LBL) MAJC_STORE_OPS(MAJC_MEM_LBL)
+#undef MAJC_MEM_LBL
 #define MAJC_KIND_LBL(k) &&L_##k,
       MAJC_REC_KINDS(MAJC_KIND_LBL)
 #undef MAJC_KIND_LBL
@@ -627,186 +643,37 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
              int_divu(st.read(rp->b), st.read(rp->c), cx.env.trap_div_zero));
     RETIRE_NEXT();
   }
-  L_kLdb: {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    u32 v;
-    if (static_cast<i64>(ea) <= cx.lim1) [[likely]] {
-      v = static_cast<u32>(
-          static_cast<i32>(static_cast<i8>(cx.mbase[ea])));
-    } else {
-      st.pc = rp->pc;
-      v = static_cast<u32>(
-          static_cast<i32>(static_cast<i8>(cx.env.mem.read_u8(ea))));
-    }
-    st.write(rp->a, v);
-    RETIRE_NEXT();
+  // One label per MAJC_LOAD_OPS / MAJC_STORE_OPS row.
+#define MAJC_LOAD_REC(name, T) \
+  L_k##name : {                \
+    mem_rec<T, false>(cx, rp); \
+    RETIRE_NEXT();             \
   }
-  L_kLdbu: {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    u32 v;
-    if (static_cast<i64>(ea) <= cx.lim1) [[likely]] {
-      v = cx.mbase[ea];
-    } else {
-      st.pc = rp->pc;
-      v = cx.env.mem.read_u8(ea);
-    }
-    st.write(rp->a, v);
-    RETIRE_NEXT();
+#define MAJC_STORE_REC(name, T) \
+  L_k##name : {                 \
+    mem_rec<T, true>(cx, rp);   \
+    RETIRE_NEXT();              \
   }
-  L_kLdh: {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    u32 v;
-    if ((ea & 1) == 0 && static_cast<i64>(ea) <= cx.lim2) [[likely]] {
-      u16 h;
-      std::memcpy(&h, cx.mbase + ea, 2);
-      v = static_cast<u32>(static_cast<i32>(static_cast<i16>(h)));
-    } else {
-      st.pc = rp->pc;
-      v = static_cast<u32>(
-          static_cast<i32>(static_cast<i16>(cx.env.mem.read_u16(ea))));
-    }
-    st.write(rp->a, v);
-    RETIRE_NEXT();
-  }
-  L_kLdhu: {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    u32 v;
-    if ((ea & 1) == 0 && static_cast<i64>(ea) <= cx.lim2) [[likely]] {
-      u16 h;
-      std::memcpy(&h, cx.mbase + ea, 2);
-      v = h;
-    } else {
-      st.pc = rp->pc;
-      v = cx.env.mem.read_u16(ea);
-    }
-    st.write(rp->a, v);
-    RETIRE_NEXT();
-  }
-  L_kLdw: {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    u32 v;
-    if ((ea & 3) == 0 && static_cast<i64>(ea) <= cx.lim4) [[likely]] {
-      std::memcpy(&v, cx.mbase + ea, 4);
-    } else {
-      st.pc = rp->pc;
-      v = cx.env.mem.read_u32(ea);
-    }
-    st.write(rp->a, v);
-    RETIRE_NEXT();
-  }
-  L_kLdl: {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    u64 v;
-    if ((ea & 7) == 0 && static_cast<i64>(ea) <= cx.lim8) [[likely]] {
-      std::memcpy(&v, cx.mbase + ea, 8);
-    } else {
-      st.pc = rp->pc;
-      v = cx.env.mem.read_u64(ea);
-    }
-    st.write(rp->a, static_cast<u32>(v >> 32));
-    st.write(static_cast<PhysReg>(rp->a + 1), static_cast<u32>(v));
-    RETIRE_NEXT();
-  }
-  L_kLdg: {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    if ((ea & 3) == 0 && static_cast<i64>(ea) <= cx.lim32) [[likely]] {
-      for (u32 i = 0; i < 8; ++i) {
-        u32 v;
-        std::memcpy(&v, cx.mbase + ea + 4 * i, 4);
-        st.write(static_cast<PhysReg>(rp->a + i), v);
-      }
-    } else {
-      // Gather all eight words before committing any: a trapping group
-      // load leaves the register file untouched (interpreter contract).
-      st.pc = rp->pc;
-      u32 tmp[8];
-      for (u32 i = 0; i < 8; ++i) tmp[i] = cx.env.mem.read_u32(ea + 4 * i);
-      for (u32 i = 0; i < 8; ++i) {
-        st.write(static_cast<PhysReg>(rp->a + i), tmp[i]);
-      }
-    }
-    RETIRE_NEXT();
-  }
-  L_kStb: {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    if (static_cast<i64>(ea) <= cx.lim1) [[likely]] {
-      cx.mbase[ea] = static_cast<u8>(st.read(rp->a));
-    } else {
-      st.pc = rp->pc;
-      cx.env.mem.write_u8(ea, static_cast<u8>(st.read(rp->a)));
-    }
-    RETIRE_NEXT();
-  }
-  L_kSth: {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    if ((ea & 1) == 0 && static_cast<i64>(ea) <= cx.lim2) [[likely]] {
-      const u16 h = static_cast<u16>(st.read(rp->a));
-      std::memcpy(cx.mbase + ea, &h, 2);
-    } else {
-      st.pc = rp->pc;
-      cx.env.mem.write_u16(ea, static_cast<u16>(st.read(rp->a)));
-    }
-    RETIRE_NEXT();
-  }
-  L_kStw: {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    if ((ea & 3) == 0 && static_cast<i64>(ea) <= cx.lim4) [[likely]] {
-      const u32 v = st.read(rp->a);
-      std::memcpy(cx.mbase + ea, &v, 4);
-    } else {
-      st.pc = rp->pc;
-      cx.env.mem.write_u32(ea, st.read(rp->a));
-    }
-    RETIRE_NEXT();
-  }
-  L_kStl: {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    const u64 v = (u64{st.read(rp->a)} << 32) |
-                  st.read(static_cast<PhysReg>(rp->a + 1));
-    if ((ea & 7) == 0 && static_cast<i64>(ea) <= cx.lim8) [[likely]] {
-      std::memcpy(cx.mbase + ea, &v, 8);
-    } else {
-      st.pc = rp->pc;
-      cx.env.mem.write_u64(ea, v);
-    }
-    RETIRE_NEXT();
-  }
-  L_kStg: {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    if ((ea & 3) == 0 && static_cast<i64>(ea) <= cx.lim32) [[likely]] {
-      for (u32 i = 0; i < 8; ++i) {
-        const u32 v = st.read(static_cast<PhysReg>(rp->a + i));
-        std::memcpy(cx.mbase + ea + 4 * i, &v, 4);
-      }
-    } else {
-      st.pc = rp->pc;
-      for (u32 i = 0; i < 8; ++i) {
-        cx.env.mem.write_u32(ea + 4 * i,
-                             st.read(static_cast<PhysReg>(rp->a + i)));
-      }
-    }
-    RETIRE_NEXT();
-  }
+  MAJC_LOAD_OPS(MAJC_LOAD_REC)
+  MAJC_STORE_OPS(MAJC_STORE_REC)
+#undef MAJC_LOAD_REC
+#undef MAJC_STORE_REC
   L_kStcw: {
     st.pc = rp->pc;
-    const Addr ea = static_cast<Addr>(st.read(rp->b));
-    if (st.read(rp->c) != 0) cx.env.mem.write_u32(ea, st.read(rp->a));
+    if (st.read(rp->c) != 0) {
+      cx.bus.store(Addr{st.read(rp->b)}, st.read(rp->a));
+    }
     RETIRE_NEXT();
   }
   L_kCas: {
     st.pc = rp->pc;
-    const Addr ea = static_cast<Addr>(st.read(rp->b));
-    const u32 old = cx.env.mem.read_u32(ea);
-    if (old == st.read(rp->c)) cx.env.mem.write_u32(ea, st.read(rp->a));
-    st.write(rp->a, old);
+    st.write(rp->a, cas_word(cx.bus, Addr{st.read(rp->b)}, st.read(rp->c),
+                             st.read(rp->a)));
     RETIRE_NEXT();
   }
   L_kSwap: {
     st.pc = rp->pc;
-    const Addr ea = static_cast<Addr>(st.read(rp->b));
-    const u32 old = cx.env.mem.read_u32(ea);
-    cx.env.mem.write_u32(ea, st.read(rp->a));
-    st.write(rp->a, old);
+    st.write(rp->a, swap_word(cx.bus, Addr{st.read(rp->b)}, st.read(rp->a)));
     RETIRE_NEXT();
   }
   L_kBnz: {
@@ -871,7 +738,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     SlotEffects fx;
     const SlotOp* so = cx.tc.slot_ops.data() + rp->arg;
     for (u32 i = 0; i < rp->e; ++i) eval_slot_op(cx, so[i], fx);
-    if (rp->d != 0xFF) exec_mem_slot(cx, st, rp);
+    if (rp->d != 0xFF) exec_mem_slot(cx, rp);
     for (const WriteBack& wb : fx.writes) st.write(wb.reg, wb.value);
     RETIRE_NEXT();
   }
@@ -926,36 +793,15 @@ RunResult FunctionalSim::run_threaded(u64 max_packets) {
   env.console = &console_;
   env.tick = &packets_run_;
   const std::span<u8> raw = mem_.raw();
-  const i64 size = static_cast<i64>(raw.size());
   PacketScratch scratch;
-  ExecCtx cx{*program_,  tc,           state_,      env,
-             res,        packets_run_, instrs_run_, max_packets,
-             raw.data(), size - 1,     size - 2,    size - 4,
-             size - 8,   size - 32,    scratch};
+  ExecCtx cx{*program_, tc, state_, env, res, packets_run_, instrs_run_,
+             max_packets, {raw.data(), static_cast<i64>(raw.size())},
+             BusView{mem_}, scratch};
   while (!state_.halted && res.packets < max_packets) {
     try {
       exec_records(cx, tc.entry[program_->index_of(state_.pc)]);
     } catch (const TrapException& e) {
-      // Identical delivery protocol to the interpreter loop: st.pc names
-      // the faulting packet at every throw site.
-      Trap t = e.trap();
-      t.cpu = 0;
-      t.pc = state_.pc;
-      t.cycle = packets_run_;
-      t.unit = TimeUnit::kPackets;
-      if (state_.can_deliver(t.deliverable)) {
-        const u32 fidx = program_->find_index(state_.pc);
-        const Addr npc = fidx == kNoPacketIndex
-                             ? state_.pc
-                             : program_->meta(fidx).fall_through;
-        state_.deliver_trap(static_cast<u32>(t.code), t.pc, npc, t.value);
-        ++traps_delivered_;
-        last_trap_ = std::move(t);
-        continue;
-      }
-      res.trap = std::move(t);
-      res.reason = TerminationReason::kTrap;
-      return res;
+      if (!take_trap(e, res)) return res;
     }
   }
   res.halted = state_.halted;

@@ -18,9 +18,12 @@
 //
 // Lowering rules (DESIGN.md §13):
 //  * Op semantics are not restated here: every integer ALU/multiply record
-//    is stamped from the MAJC_INT_OPS table in exec.h, divide, dotp and
-//    fmadd call exec.h's shared definitions, and the remaining SIMD/FP ops
-//    run through the interpreter's per-class executors.
+//    is stamped from the MAJC_INT_OPS table in exec.h, every plain
+//    load/store record from MAJC_LOAD_OPS / MAJC_STORE_OPS through exec.h's
+//    load_words / store_words (the backend adds only its arena fast path),
+//    divide, cas, swap, dotp and fmadd call exec.h's shared definitions,
+//    and the remaining SIMD/FP ops run through the interpreter's per-class
+//    executors.
 //  * A packet's slots execute with parallel-read semantics; the translator
 //    lowers them to sequential records, exactly one per slot, only when the
 //    execution order can be proven equivalent (no earlier-executed slot's

@@ -115,6 +115,11 @@ void Archive::size32(majc::u32 n, std::string_view what) {
 
 namespace {
 
+// Not the published FNV-1a 64-bit offset basis (14695981039346656037 =
+// 0xcbf29ce484222325, which serve/cache.cpp uses): this is that decimal
+// with its last digit dropped. Every arch digest, config fingerprint and
+// image hash, and so the CkptFormat pins and every stored checkpoint and
+// golden, depends on it. Never "correct" it.
 constexpr u64 kFnvOffset = 1469598103934665603ull;
 constexpr u64 kFnvPrime = 1099511628211ull;
 
