@@ -423,6 +423,90 @@ TEST(CkptFormat, ChipRunIsPinned) {
   EXPECT_EQ(ckpt::save_checkpoint(back), bytes);
 }
 
+// ------------------------------------------------- microthreaded split
+
+// Two contexts per CPU, each walking its own 4 KB region: a miss stalls
+// one context past the switch threshold, so LSU issues from both contexts
+// interleave. The second pass stores and reloads the same word (store
+// forwarding) over lines that now hit.
+constexpr const char* kThreadedProg = R"(
+    .data
+  buf: .space 8192
+    .code
+    gettid g20
+    sethi g3, %hi(buf)
+    orlo g3, %lo(buf)
+    slli g21, g20, 12
+    add g3, g3, g21
+    addi g12, g3, 0
+    setlo g5, 64
+    setlo g6, 1
+  walk:
+    ldwi g7, g3, 0
+    ldwi g8, g3, 32
+    add g7, g7, g6
+    stwi g7, g3, 4
+    stwi g8, g3, 36
+    addi g6, g6, 3
+    addi g3, g3, 64
+    addi g5, g5, -1
+    bnz g5, walk
+    addi g3, g12, 0
+    setlo g5, 128
+  again:
+    ldwi g7, g3, 4
+    addi g7, g7, 1
+    stwi g7, g3, 8
+    ldwi g9, g3, 8
+    add g10, g10, g9
+    addi g3, g3, 32
+    addi g5, g5, -1
+    bnz g5, again
+    halt
+)";
+
+TEST(Ckpt, MicrothreadedCycleSplitRunMatchesUnbrokenRun) {
+  TimingConfig cfg = soak_faults();
+  cfg.hw_threads = 2;
+  const auto lsu_values = [](const cpu::CycleSim& s) {
+    std::array<u64, mem::kNumLsuCounters> v{};
+    for (u32 i = 0; i < mem::kNumLsuCounters; ++i) {
+      v[i] = s.memsys().lsu(0).counter(static_cast<mem::LsuCounter>(i));
+    }
+    return v;
+  };
+
+  cpu::CycleSim golden(assemble_or_throw(kThreadedProg), cfg);
+  const auto gres = golden.run();
+  ASSERT_EQ(gres.reason, TerminationReason::kHalted);
+  ASSERT_GT(golden.cpu().stats().thread_switches, 0u);
+  const auto golden_bytes = ckpt::save_checkpoint(golden);
+
+  bool saw_live_buffers = false;
+  for (u64 split : {37u, 150u, 333u, 600u, 901u}) {
+    SCOPED_TRACE("split at packet " + std::to_string(split));
+    cpu::CycleSim first(assemble_or_throw(kThreadedProg), cfg);
+    ASSERT_EQ(first.run(split).reason, TerminationReason::kPacketCap);
+    const auto bytes = ckpt::save_checkpoint(first);
+    const auto [loads, stores, mshrs] = lsu_counts(bytes);
+    saw_live_buffers |= loads > 0 && stores > 0 && mshrs > 0;
+
+    cpu::CycleSim second(assemble_or_throw(kThreadedProg), cfg);
+    ckpt::restore_checkpoint(second, bytes);
+    const auto res = second.run();
+    EXPECT_EQ(res.reason, TerminationReason::kHalted);
+    EXPECT_EQ(res.cycles, gres.cycles);
+    EXPECT_EQ(res.packets, gres.packets);
+    EXPECT_EQ(lsu_values(second), lsu_values(golden));
+    EXPECT_EQ(second.memsys().dcache().hits(), golden.memsys().dcache().hits());
+    EXPECT_EQ(second.memsys().dcache().misses(),
+              golden.memsys().dcache().misses());
+    EXPECT_EQ(ckpt::save_checkpoint(second), golden_bytes);
+  }
+  // At least one split must land with loads, stores and fills in flight.
+  EXPECT_TRUE(saw_live_buffers);
+}
+
 
 // -------------------------------------------------------------- hardening
 
