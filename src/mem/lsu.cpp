@@ -1,5 +1,6 @@
 #include "src/mem/lsu.h"
 
+#include <algorithm>
 #include <bit>
 #include <string>
 
@@ -48,8 +49,6 @@ Lsu::Lsu(const TimingConfig& cfg, Cache& dcache, Dram& dram, Crossbar& xbar,
       port_(port),
       dport_free_(dcache_port_free),
       plan_(plan) {
-  // Garbage for non-pow2 line sizes, in which case Cache::hit_fast rejects
-  // every hint and a misindexed memo slot is merely never useful.
   line_shift_ = static_cast<u32>(std::countr_zero(cfg_.line_bytes));
   // Buffers are small and bounded (atomics may briefly push loads_ past its
   // nominal capacity): one reservation keeps the issue path allocation-free.
@@ -58,17 +57,10 @@ Lsu::Lsu(const TimingConfig& cfg, Cache& dcache, Dram& dram, Crossbar& xbar,
   mshr_.reserve(cfg_.mshrs + 1);
 }
 
-void Lsu::rebuild_watermarks() {
-  Cycle peak = 0;
-  store_live_ = 0;
-  for (Cycle c : loads_) peak = std::max(peak, c);
-  for (const StoreEntry& s : stores_) {
-    peak = std::max(peak, s.done);
-    store_live_ = std::max(store_live_, s.done);
-  }
-  for (const MshrEntry& e : mshr_) peak = std::max(peak, e.done);
-  peak_done_ = peak;
-  prune_now_ = 0;  // everything restored is live as of the save boundary
+void Lsu::prune(Cycle now) {
+  std::erase_if(loads_, [now](Cycle c) { return c <= now; });
+  std::erase_if(stores_, [now](const StoreEntry& s) { return s.done <= now; });
+  std::erase_if(mshr_, [now](const MshrEntry& e) { return e.done <= now; });
 }
 
 Cycle Lsu::fill_line(Addr addr, Cycle now) {
@@ -111,8 +103,9 @@ Cycle Lsu::mshr_ready(Cycle now) {
 Cycle Lsu::cached_access(Addr addr, u32 bytes, bool is_store, bool allocate,
                          Cycle now) {
   (void)bytes;
-  // A fill already in flight for this line? Attach to it (miss merge). The
-  // `done > now` filter skips lazily retained retired fills.
+  // A fill already in flight for this line? Attach to it (miss merge). An
+  // atomic arrives here at its drained start cycle, past the last prune,
+  // so fills that completed in between are skipped explicitly.
   const Addr line = addr & ~Addr{cfg_.line_bytes - 1};
   for (const MshrEntry& e : mshr_) {
     if (e.line == line && e.done > now) {
@@ -140,7 +133,6 @@ Cycle Lsu::cached_access(Addr addr, u32 bytes, bool is_store, bool allocate,
   }
   if (allocate && mshr_.size() < cfg_.mshrs) {
     mshr_.push_back({line, done});
-    record(done);
   }
   if (res.writeback) {
     // Victim write-back: consumes channel bandwidth but nobody waits on it.
@@ -151,11 +143,7 @@ Cycle Lsu::cached_access(Addr addr, u32 bytes, bool is_store, bool allocate,
 }
 
 Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
-  // Retired-entry boundary: the eager scheme swept all three buffers here
-  // (and again after each stall below). We only advance the boundary; the
-  // scans filter on it implicitly via `done > now`, and checkpoint save
-  // applies it so the serialized buffers match the eager scheme's bytes.
-  prune_now_ = std::max(prune_now_, now);
+  prune(now);
   IssueResult out{now, now};
 
   if (cfg_.perfect_dcache) {
@@ -166,7 +154,7 @@ Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
     out.issue_at = blocked_until_;
     bump(LsuCounter::kBlockingStalls, blocked_until_ - now);
     now = blocked_until_;
-    prune_now_ = now;
+    prune(now);
   }
   // Single-ported D$ ablation: cached accesses from both CPUs serialize on
   // the one port.
@@ -178,38 +166,27 @@ Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
       bump(LsuCounter::kDportConflicts, *dport_free_ - now);
       out.issue_at = *dport_free_;
       now = *dport_free_;
-      prune_now_ = now;
+      prune(now);
     }
     *dport_free_ = now + 1;
   }
 
   switch (acc.kind) {
     case MemAccess::Kind::kLoad: {
-      // Load buffer capacity (5 entries): compact retired entries only when
-      // the raw count reaches capacity, then stall only if genuinely full.
+      // Load buffer capacity (5 entries): stall until the oldest retires.
       if (loads_.size() >= cfg_.load_buffers) {
-        std::erase_if(loads_, [now](Cycle c) { return c <= now; });
-        if (loads_.size() >= cfg_.load_buffers) {
-          const Cycle slot = *std::min_element(loads_.begin(), loads_.end());
-          bump(LsuCounter::kLoadBufferStalls, slot > now ? slot - now : 0);
-          out.issue_at = std::max(now, slot);
-          now = out.issue_at;
-          prune_now_ = now;
-        }
+        const Cycle slot = *std::min_element(loads_.begin(), loads_.end());
+        bump(LsuCounter::kLoadBufferStalls, slot - now);
+        out.issue_at = now = slot;
+        prune(now);
       }
-      // Store-to-load forwarding from the store buffer. When the newest
-      // store completion is already in the past no entry can be live, so
-      // the scan is skipped entirely (the common streaming-kernel case).
-      if (store_live_ > now) {
-        for (const StoreEntry& s : stores_) {
-          if (s.done > now && s.addr <= acc.addr &&
-              acc.addr + acc.bytes <= s.addr + s.bytes) {
-            bump(LsuCounter::kStoreForwards);
-            out.data_ready = now + 1;
-            loads_.push_back(out.data_ready);
-            record(out.data_ready);
-            return out;
-          }
+      // Store-to-load forwarding from the store buffer.
+      for (const StoreEntry& s : stores_) {
+        if (s.addr <= acc.addr && acc.addr + acc.bytes <= s.addr + s.bytes) {
+          bump(LsuCounter::kStoreForwards);
+          out.data_ready = now + 1;
+          loads_.push_back(out.data_ready);
+          return out;
         }
       }
       Cycle ready;
@@ -226,7 +203,6 @@ Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
       }
       out.data_ready = ready;
       loads_.push_back(ready);
-      record(ready);
       if (!cfg_.nonblocking_loads && ready > now + cfg_.load_to_use) {
         blocked_until_ = ready;
       }
@@ -234,17 +210,13 @@ Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
       return out;
     }
     case MemAccess::Kind::kStore: {
+      // Store buffer capacity (8 entries): stall until the oldest retires.
       if (stores_.size() >= cfg_.store_buffers) {
-        std::erase_if(stores_,
-                      [now](const StoreEntry& s) { return s.done <= now; });
-        if (stores_.size() >= cfg_.store_buffers) {
-          Cycle slot = stores_.front().done;
-          for (const StoreEntry& s : stores_) slot = std::min(slot, s.done);
-          bump(LsuCounter::kStoreBufferStalls, slot > now ? slot - now : 0);
-          out.issue_at = std::max(now, slot);
-          now = out.issue_at;
-          prune_now_ = now;
-        }
+        Cycle slot = stores_.front().done;
+        for (const StoreEntry& s : stores_) slot = std::min(slot, s.done);
+        bump(LsuCounter::kStoreBufferStalls, slot - now);
+        out.issue_at = now = slot;
+        prune(now);
       }
       Cycle done;
       if (acc.attr == 1) {  // non-cached: straight to memory
@@ -283,8 +255,6 @@ Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
                1;
       }
       stores_.push_back({acc.addr, acc.bytes, done});
-      record(done);
-      store_live_ = std::max(store_live_, done);
       out.data_ready = done;
       bump(LsuCounter::kStores);
       return out;
@@ -299,7 +269,6 @@ Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
       out.issue_at = start;
       out.data_ready = done;
       loads_.push_back(done);
-      record(done);
       bump(LsuCounter::kAtomics);
       return out;
     }
@@ -308,16 +277,12 @@ Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
       if (dcache_.probe(acc.addr, &dhint(acc.addr))) return out;
       const Addr line = acc.addr & ~Addr{cfg_.line_bytes - 1};
       for (const MshrEntry& e : mshr_) {
-        if (e.line == line && e.done > now) return out;  // fill in flight
+        if (e.line == line) return out;  // fill in flight
       }
       // "Non-faulting prefetch instructions ... are also queued in LSU"
       // (paper §3.2): when all four miss slots are busy the prefetch waits
       // in the queue and launches as the oldest outstanding fill retires.
       Cycle start = now;
-      if (mshr_.size() >= cfg_.mshrs) {
-        std::erase_if(mshr_,
-                      [now](const MshrEntry& e) { return e.done <= now; });
-      }
       if (mshr_.size() >= cfg_.mshrs) {
         auto oldest = mshr_.begin();
         for (auto it = mshr_.begin(); it != mshr_.end(); ++it) {
@@ -338,7 +303,6 @@ Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
         observer_({LsuTraceEvent::Kind::kPrefetch, line, start, done});
       }
       mshr_.push_back({line, done});
-      record(done);
       dcache_.access(acc.addr, /*is_store=*/false, /*allocate=*/true, &dhint(acc.addr));
       bump(LsuCounter::kPrefetches);
       return out;
@@ -356,11 +320,11 @@ Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
 }
 
 Cycle Lsu::drain(Cycle now) {
-  // peak_done_ is the exact max over every completion ever buffered; every
-  // entry removed since then retired at or before a cycle <= now (prune) or
-  // was dominated by a still-tracked successor (MSHR early reuse), so this
-  // equals the scan over live entries the old implementation performed.
-  return std::max(now, std::max(peak_done_, wc_done_));
+  Cycle done = std::max(now, wc_done_);
+  for (Cycle c : loads_) done = std::max(done, c);
+  for (const StoreEntry& s : stores_) done = std::max(done, s.done);
+  for (const MshrEntry& e : mshr_) done = std::max(done, e.done);
+  return done;
 }
 
 } // namespace majc::mem

@@ -11,9 +11,15 @@
 // ablation, whenever a miss is pending). Misses to a line already being
 // filled attach to the existing fill (MSHR merge), which is what makes the
 // 4-MSHR limit meaningful for streaming kernels.
+//
+// The buffers hold only live entries: prune(now) erases every completed
+// load, store and fill when an operation arrives and again whenever a
+// stall moves its issue cycle forward. At most 17 entries (5 loads, 8
+// stores, 4 fills) are live, so the sweep is cheap, and the buffers are
+// checkpointed as they are.
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -116,14 +122,8 @@ private:
   Cycle cached_access(Addr addr, u32 bytes, bool is_store, bool allocate,
                       Cycle now);
   Cycle mshr_ready(Cycle now);
-  /// Record a completion time entering any buffer class: raises the drain
-  /// peak watermark.
-  void record(Cycle done) { peak_done_ = std::max(peak_done_, done); }
-  /// Recompute the drain watermark from live entries (after checkpoint
-  /// restore). Dead entries' completions are provably dominated by live
-  /// ones or by the resume cycle, so the rebuilt watermark is exact going
-  /// forward.
-  void rebuild_watermarks();
+  /// Retire every buffered load, store and fill complete by `now`.
+  void prune(Cycle now);
 
   const TimingConfig& cfg_;
   Cache& dcache_;
@@ -134,26 +134,10 @@ private:
   const FaultPlan* plan_ = nullptr;  // injected D$ fill parity faults
   u64 fills_ = 0;
 
-  // Buffered entries are retired LAZILY: scans filter on `done > now`
-  // instead of erasing retired entries up front, and compaction runs only
-  // when a buffer-capacity decision needs the live count. This removes the
-  // three-structure sweep the old prune() ran on every issue. prune_now_
-  // tracks the cycle up to which the eager implementation would have
-  // retired entries — checkpoint save filters on it so the serialized
-  // buffers (and their bytes) are identical to the eager scheme's.
   std::vector<Cycle> loads_;        // completion times of buffered loads
   std::vector<StoreEntry> stores_;  // buffered stores (for forwarding)
   std::vector<MshrEntry> mshr_;     // in-flight line fills (<= cfg_.mshrs)
-  Cycle prune_now_ = 0;
-  // Max completion over every store ever buffered (not checkpointed;
-  // rebuilt like peak_done_): when <= now, no store is live and the
-  // forwarding scan is skipped outright.
-  Cycle store_live_ = 0;
   Cycle blocked_until_ = 0;         // blocking-load ablation
-  // Drain watermark (not checkpointed; rebuilt from live entries on
-  // restore): exact max over every completion ever buffered — makes
-  // drain() O(1) instead of a three-structure scan.
-  Cycle peak_done_ = 0;
   // This CPU's D$ access memo: direct-mapped by line address, self-
   // validating (Cache::hit_fast / access re-check the tag store), so
   // strided multi-array kernels keep several open lines inline at once.

@@ -427,40 +427,30 @@ void Crossbar::fields(ckpt::Archive& a) {
 void Lsu::fields(ckpt::Archive& a) {
   a.tag("LSU ");
   a.u64(fills_);
-  // The buffers retire entries lazily; save only entries live past the
-  // retirement boundary so the byte stream matches the eagerly-pruned
-  // representation (entries at or before prune_now_ were architecturally
-  // retired — keeping them in memory is purely a hot-path optimization).
-  // MSHRs are sorted by line address: internal (insertion) order must not
-  // leak into the byte stream (determinism rule).
-  std::vector<Cycle> loads;
-  std::vector<StoreEntry> stores;
-  std::vector<MshrEntry> mshrs;
-  if (!a.loading()) {
-    for (Cycle c : loads_)
-      if (c > prune_now_) loads.push_back(c);
-    for (const StoreEntry& s : stores_)
-      if (s.done > prune_now_) stores.push_back(s);
-    for (const MshrEntry& e : mshr_)
-      if (e.done > prune_now_) mshrs.push_back(e);
-    std::sort(mshrs.begin(), mshrs.end(), [](const auto& x, const auto& y) {
-      return std::pair(x.line, x.done) < std::pair(y.line, y.done);
-    });
-  }
   // count() bounds each count by the bytes left: 8, 20 and 16 per entry.
-  loads.resize(a.count(loads.size(), 8));
-  for (Cycle& c : loads) a.u64(c);
-  stores.resize(a.count(stores.size(), 20));
-  for (StoreEntry& s : stores) {
+  loads_.resize(a.count(loads_.size(), 8));
+  for (Cycle& c : loads_) a.u64(c);
+  stores_.resize(a.count(stores_.size(), 20));
+  for (StoreEntry& s : stores_) {
     a.u64(s.addr);
     a.u32(s.bytes);
     a.u64(s.done);
+  }
+  // MSHRs are saved sorted by line address from a copy: internal
+  // (insertion) order must not leak into the byte stream (determinism
+  // rule), and saving must not reorder the live run's buffer.
+  std::vector<MshrEntry> mshrs = mshr_;
+  if (!a.loading()) {
+    std::sort(mshrs.begin(), mshrs.end(), [](const auto& x, const auto& y) {
+      return std::pair(x.line, x.done) < std::pair(y.line, y.done);
+    });
   }
   mshrs.resize(a.count(mshrs.size(), 16));
   for (MshrEntry& e : mshrs) {
     a.u64(e.line);
     a.u64(e.done);
   }
+  if (a.loading()) mshr_ = std::move(mshrs);
   a.u64(blocked_until_);
   for (WcEntry& e : wc_) {
     a.u64(e.line);
@@ -468,12 +458,6 @@ void Lsu::fields(ckpt::Archive& a) {
   }
   a.u64(wc_done_);
   for (u64& c : counters_) a.u64(c);
-  if (a.loading()) {
-    loads_ = std::move(loads);
-    stores_ = std::move(stores);
-    mshr_ = std::move(mshrs);
-    rebuild_watermarks();
-  }
 }
 
 void EccMemory::fields(ckpt::Archive& a) {
