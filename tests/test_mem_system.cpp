@@ -64,6 +64,21 @@ TEST(Cache, BadConfigRejected) {
   EXPECT_THROW(Cache({.bytes = 100, .ways = 3, .line_bytes = 32}), Error);
 }
 
+TEST(Cache, NonPowerOfTwoGeometryRejected) {
+  // 3 KB, 2 ways, 32-byte lines: 48 sets.
+  EXPECT_THROW(Cache({.bytes = 3072, .ways = 2, .line_bytes = 32}), Error);
+  // 48-byte lines (32 sets).
+  EXPECT_THROW(Cache({.bytes = 3072, .ways = 2, .line_bytes = 48}), Error);
+  // A whole memory system with 48-byte lines; the cache sizes are
+  // multiples of ways * 48 with power-of-two set counts, so only the
+  // line size is at fault.
+  TimingConfig cfg;
+  cfg.line_bytes = 48;
+  cfg.dcache_bytes = 48 * cfg.dcache_ways * 64;
+  cfg.icache_bytes = 48 * cfg.icache_ways * 128;
+  EXPECT_THROW(mem::MemorySystem{cfg}, Error);
+}
+
 TEST(Dram, PageHitsStreamAtChannelRate) {
   TimingConfig cfg;
   mem::Dram d(cfg);
