@@ -162,7 +162,7 @@ AttemptStatus run_attempt(Driver d, const kernels::KernelSpec& spec,
   double prior_secs = resume != nullptr ? resume->attempt_secs : 0.0;
   u32 slice_no = resume != nullptr ? resume->slices : 0;
 
-  d.reset();
+  // The machine arrives reset: WorkerMachines::acquire_* resets it.
   if (resume != nullptr) {
     d.restore(resume->checkpoint);
   } else {
@@ -263,8 +263,9 @@ JobStatus run_resilient(const kernels::CompiledKernel& k, const Job& job,
         st = run_attempt(d, k.spec, job, job_index, opts, attempt, rs, out,
                          suspended_out, fail);
       } else {
-        FunctionalDriver d{machines.acquire_functional(k.program), k,
-                           job.backend};
+        sim::FunctionalSim& m = machines.acquire_functional(k.program);
+        m.set_backend(job.backend);  // reset restored the default backend
+        FunctionalDriver d{m, k, job.backend};
         st = run_attempt(d, k.spec, job, job_index, opts, attempt, rs, out,
                          suspended_out, fail);
       }
