@@ -24,8 +24,6 @@ void Writer::put_le(u64 v, int bytes) {
   for (int i = 0; i < bytes; ++i) put_u8(static_cast<u8>(v >> (8 * i)));
 }
 
-void Writer::put_f64(double v) { put_u64(std::bit_cast<u64>(v)); }
-
 void Writer::put_bytes(std::span<const u8> v) {
   buf_.insert(buf_.end(), v.begin(), v.end());
 }
@@ -54,8 +52,6 @@ u64 Reader::get_le(int bytes) {
   for (int i = 0; i < bytes; ++i) v |= u64{data_[pos_++]} << (8 * i);
   return v;
 }
-
-double Reader::get_f64() { return std::bit_cast<double>(get_u64()); }
 
 void Reader::get_bytes(std::span<u8> out) {
   need(out.size());

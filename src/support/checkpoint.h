@@ -87,11 +87,9 @@ constexpr const char* mode_name(Mode m) {
 class Writer {
 public:
   void put_u8(u8 v) { buf_.push_back(v); }
-  void put_u16(u16 v) { put_le(v, 2); }
   void put_u32(u32 v) { put_le(v, 4); }
   void put_u64(u64 v) { put_le(v, 8); }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
-  void put_f64(double v);  // bit-exact (bit_cast to u64)
   void put_bytes(std::span<const u8> v);
   void put_string(const std::string& s);
   /// Four-character section tag; Reader::expect_tag verifies it, making a
@@ -115,11 +113,9 @@ public:
   explicit Reader(std::span<const u8> data) : data_(data) {}
 
   u8 get_u8();
-  u16 get_u16() { return static_cast<u16>(get_le(2)); }
   u32 get_u32() { return static_cast<u32>(get_le(4)); }
   u64 get_u64() { return get_le(8); }
   bool get_bool();  // the byte must be 0 or 1
-  double get_f64();
   void get_bytes(std::span<u8> out);
   std::string get_string();
   void expect_tag(const char (&tag)[5]);

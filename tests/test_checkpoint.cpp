@@ -27,12 +27,10 @@ using masm::assemble_or_throw;
 TEST(CkptIo, PrimitivesRoundTrip) {
   ckpt::Writer w;
   w.put_u8(0xab);
-  w.put_u16(0xbeef);
   w.put_u32(0xdeadbeefu);
   w.put_u64(0x0123456789abcdefull);
   w.put_bool(true);
   w.put_bool(false);
-  w.put_f64(-0.1);
   w.put_string("majc");
   w.put_tag("TEST");
   const std::vector<u8> raw{1, 2, 3};
@@ -40,12 +38,10 @@ TEST(CkptIo, PrimitivesRoundTrip) {
 
   ckpt::Reader r(w.bytes());
   EXPECT_EQ(r.get_u8(), 0xab);
-  EXPECT_EQ(r.get_u16(), 0xbeef);
   EXPECT_EQ(r.get_u32(), 0xdeadbeefu);
   EXPECT_EQ(r.get_u64(), 0x0123456789abcdefull);
   EXPECT_TRUE(r.get_bool());
   EXPECT_FALSE(r.get_bool());
-  EXPECT_EQ(r.get_f64(), -0.1);  // bit-exact, == is correct
   EXPECT_EQ(r.get_string(), "majc");
   r.expect_tag("TEST");
   std::vector<u8> back(3);
@@ -56,7 +52,8 @@ TEST(CkptIo, PrimitivesRoundTrip) {
 
 TEST(CkptIo, ShortReadThrows) {
   ckpt::Writer w;
-  w.put_u16(7);
+  w.put_u8(7);
+  w.put_u8(0);
   ckpt::Reader r(w.bytes());
   EXPECT_THROW(r.get_u32(), Error);
 }
