@@ -14,9 +14,9 @@
 //
 // The buffers hold only live entries: prune(now) erases every completed
 // load, store and fill when an operation arrives and again whenever a
-// stall moves its issue cycle forward. At most 17 entries (5 loads, 8
-// stores, 4 fills) are live, so the sweep is cheap, and the buffers are
-// checkpointed as they are.
+// stall moves its issue cycle forward. The buffers stay near their
+// capacities (5 loads, 8 stores, 4 fills; atomics may briefly add loads),
+// so the sweep is cheap, and they are checkpointed as they are.
 #pragma once
 
 #include <array>
